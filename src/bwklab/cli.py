@@ -2,23 +2,20 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .core import InstanceParams, RngStream
-from .environments import (
-    big_cost_trap_matrix,
-    hidden_best_arm_instance,
-    random_matrix_spec,
-    save_matrix_csv,
-)
+from .core import RngStream
+from .environments import StochasticEnvSpec, save_matrix_csv
 from .harness import (
+    ENVIRONMENTS,
+    EnvironmentConfig,
     RunTrace,
     emit_results,
     fit_loglog_slope,
     load_config,
     parse_summary_csv,
     run_experiment,
+    save_env_json,
 )
 
 
@@ -49,41 +46,16 @@ def _cmd_slope(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_env(args: argparse.Namespace) -> int:
-    rng = RngStream(args.seed)
-    if args.kind == "hidden-best-arm":
-        params = InstanceParams(
-            n_arms=args.arms, budget=args.budget, cost_min=args.cost_min
-        )
-        spec = hidden_best_arm_instance(params, rng)
-        doc = {
-            "kind": "stochastic",
-            "cost_min": spec.params.cost_min,
-            "cost_max": spec.params.cost_max,
-            "optimal_arm": spec.optimal_arm,
-            "arms": [
-                {
-                    "reward": {"type": "bernoulli", "p": r.p, "hi": r.hi, "lo": r.lo},
-                    "cost": {"type": "point", "value": c.value},
-                }
-                for r, c in zip(spec.reward_dists, spec.cost_dists)
-            ],
-        }
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    elif args.kind == "big-cost-trap":
-        spec = big_cost_trap_matrix(
-            args.alpha, args.budget, optimal_arm=args.optimal_arm, rng=rng
-        )
+    kind = args.kind.replace("-", "_")
+    flags = vars(args)
+    env = EnvironmentConfig(
+        kind, {f.key: flags[f.key] for f in ENVIRONMENTS[kind].fields if f.key in flags}
+    )
+    spec = env.build(args.budget, RngStream(args.seed))
+    if isinstance(spec, StochasticEnvSpec):
+        save_env_json(spec, args.out)
+    else:
         save_matrix_csv(spec, args.out)
-    elif args.kind == "random-matrix":
-        params = InstanceParams(
-            n_arms=args.arms, budget=args.budget, cost_min=args.cost_min
-        )
-        spec = random_matrix_spec(params, rng, cost_jitter=args.cost_jitter)
-        save_matrix_csv(spec, args.out)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {args.kind!r}")
     print(args.out)
     return 0
 
@@ -113,12 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--kind",
         required=True,
-        choices=["hidden-best-arm", "big-cost-trap", "random-matrix"],
+        choices=[k.replace("_", "-") for k, e in ENVIRONMENTS.items() if e.generated],
     )
     p_gen.add_argument("--out", required=True, help="output file path")
     p_gen.add_argument("--budget", type=float, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--arms", type=int, default=2)
+    p_gen.add_argument("--arms", dest="n_arms", type=int, default=2)
     p_gen.add_argument("--cost-min", type=float, default=1.0)
     p_gen.add_argument("--alpha", type=float, default=0.5)
     p_gen.add_argument("--optimal-arm", type=int, default=None)

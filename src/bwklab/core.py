@@ -45,10 +45,10 @@ class InstanceParams:
     def __post_init__(self) -> None:
         if self.n_arms < 1:
             raise ValueError("n_arms must be at least 1")
-        if not self.budget > 0:
-            raise ValueError("budget must be positive")
-        if not 0 < self.cost_min <= self.cost_max:
-            raise ValueError("need 0 < cost_min <= cost_max")
+        if not 0 < self.budget < math.inf:
+            raise ValueError("budget must be positive and finite")
+        if not 0 < self.cost_min <= self.cost_max < math.inf:
+            raise ValueError("need 0 < cost_min <= cost_max < inf")
 
     def horizon_cap(self) -> int:
         """Hard cap on rounds per episode.

@@ -27,6 +27,10 @@ MATRIX_CSV_HEADER = ["t", "arm", "reward", "cost"]
 class PointMass:
     value: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ValueError("point mass value must be finite")
+
     @property
     def mean(self) -> float:
         return self.value
@@ -45,8 +49,8 @@ class UniformOn:
     high: float
 
     def __post_init__(self) -> None:
-        if self.low > self.high:
-            raise ValueError("uniform interval is empty")
+        if not -math.inf < self.low <= self.high < math.inf:
+            raise ValueError("uniform interval must be finite and nonempty")
 
     @property
     def mean(self) -> float:
@@ -71,8 +75,8 @@ class ScaledBernoulli:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.lo > self.hi:
-            raise ValueError("need lo <= hi")
+        if not -math.inf < self.lo <= self.hi < math.inf:
+            raise ValueError("need finite lo <= hi")
 
     @property
     def mean(self) -> float:
@@ -113,11 +117,11 @@ class StochasticEnvSpec:
             raise ValueError("need one reward and one cost distribution per arm")
         for d in self.reward_dists:
             lo, hi = d.support
-            if lo < 0.0 or hi > 1.0:
+            if not 0.0 <= lo <= hi <= 1.0:
                 raise ValueError("reward support must lie inside [0, 1]")
         for d in self.cost_dists:
             lo, hi = d.support
-            if lo < self.params.cost_min or hi > self.params.cost_max:
+            if not self.params.cost_min <= lo <= hi <= self.params.cost_max:
                 raise ValueError("cost support must lie inside [cost_min, cost_max]")
 
     def reward_mean(self, arm: int) -> float:
@@ -154,9 +158,13 @@ class AdversarialMatrixSpec:
             raise ValueError(
                 f"horizon too short: {rewards.shape[0]} rows < ceil(B/c_min) = {t_needed}"
             )
-        if rewards.min() < 0.0 or rewards.max() > 1.0:
+        # min and max propagate NaN, so their finiteness covers every entry
+        r_lo, r_hi, c_lo, c_hi = rewards.min(), rewards.max(), costs.min(), costs.max()
+        if not np.isfinite([r_lo, r_hi, c_lo, c_hi]).all():
+            raise ValueError("matrix rewards and costs must be finite")
+        if not 0.0 <= r_lo <= r_hi <= 1.0:
             raise ValueError("matrix rewards must lie inside [0, 1]")
-        if costs.min() < self.params.cost_min or costs.max() > self.params.cost_max:
+        if not self.params.cost_min <= c_lo <= c_hi <= self.params.cost_max:
             raise ValueError("matrix costs must lie inside [cost_min, cost_max]")
         rewards.setflags(write=False)
         costs.setflags(write=False)

@@ -9,9 +9,9 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
 from .core import (
     InstanceParams,
@@ -25,7 +25,6 @@ from .core import (
 )
 from .environments import (
     AdversarialMatrixSpec,
-    Distribution,
     PointMass,
     ScaledBernoulli,
     StochasticEnvSpec,
@@ -47,49 +46,265 @@ from .policies import BudgetedPolicy, Exp3Bwk, Exp3PPBwk, FixedArmPolicy, Unifor
 SUMMARY_HEADER = "policy,B,replications,mean_regret,stderr_regret,mean_tau,mean_total_cost"
 TRACE_HEADER = "t,arm,reward,cost,budget_after,prob_selected"
 
-POLICY_NAMES = ("exp3bwk", "exp3pp_bwk", "fixed_arm", "uniform")
-ENV_KINDS = ("stochastic", "matrix_file", "hidden_best_arm", "big_cost_trap", "random_matrix")
-
 EnvSpec = Union[StochasticEnvSpec, AdversarialMatrixSpec]
 
-
-@lru_cache(maxsize=8)
-def _load_matrix_cached(
-    path: str, budget: float, cost_min: float | None, cost_max: float | None
-) -> AdversarialMatrixSpec:
-    # Specs are immutable, so replications can share one loaded matrix.
-    return load_matrix_csv(path, budget, cost_min=cost_min, cost_max=cost_max)
+# Specs are immutable, so replications can share one loaded matrix.
+_load_matrix = lru_cache(maxsize=8)(load_matrix_csv)
 
 
 # ---------------------------------------------------------------------------
-# Configuration
+# Configuration: one table per kind drives parse, build, echo and gen-env
 # ---------------------------------------------------------------------------
+
+REQUIRED = object()  # the default of a field that has none
+
+
+class Codec(NamedTuple):
+    """How one JSON value is read (typed and validated) and echoed back."""
+
+    read: Callable[[Any, str], Any]
+    echo: Callable[[Any], Any] = lambda value: value
+
+
+class Field(NamedTuple):
+    """One config key. Without a default the key is required; a ``None``
+    default also admits an explicit ``null``. ``arg`` names the constructor
+    keyword when it differs from the key."""
+
+    key: str
+    codec: Codec
+    default: Any = REQUIRED
+    arg: str | None = None
+
+
+class Kind(NamedTuple):
+    """A table entry: the constructor a name stands for and its fields.
+
+    Environment entries also fix the regret mode, and mark as ``generated``
+    the kinds whose instance is drawn from an rng, which ``gen-env`` writes.
+    """
+
+    build: Callable[..., Any]
+    fields: tuple[Field, ...] = ()
+    mode: RegretMode | None = None
+    generated: bool = False
+
+    def construct(self, values: dict, *args: Any) -> Any:
+        return self.build(*args, **{f.arg or f.key: values[f.key] for f in self.fields})
+
+
+# --- strict JSON parsing (typos in experiment configs must not pass silently)
+
+
+def _take(d: dict, where: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
+    unknown = set(d) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"{where}: missing keys {missing}")
+    return d
+
+
+def _complete(fields: Sequence[Field], values: dict, where: str, tag: Sequence[str] = ()) -> dict:
+    """Check the keys of ``values`` (plus ``tag``) and fill in every default."""
+    required = [f.key for f in fields if f.default is REQUIRED]
+    _take(values, where, [*tag, *required], [f.key for f in fields])
+    return {f.key: values.get(f.key, f.default) for f in fields}
+
+
+def _read_fields(doc: Any, where: str, fields: Sequence[Field], tag: Sequence[str] = ()) -> dict:
+    """Read an object holding ``fields``, each typed by its codec."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected an object, got {doc!r}")
+    values = _complete(fields, doc, where, tag)
+    for f in fields:
+        if f.key in doc and (doc[f.key] is not None or f.default is not None):
+            values[f.key] = f.codec.read(doc[f.key], f"{where}.{f.key}")
+    return values
+
+
+def _echo(fields: Sequence[Field], values: dict) -> dict:
+    return {f.key: f.codec.echo(values[f.key]) for f in fields}
+
+
+def _entry(table: dict[str, Kind], name: Any, where: str) -> Kind:
+    if not isinstance(name, str) or name not in table:
+        raise ValueError(f"{where}: unknown name {name!r}; expected one of {list(table)}")
+    return table[name]
+
+
+def _read_int(value: Any, where: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _read_number(value: Any, where: str) -> float:
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _read_str(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _list_of(read: Callable[[Any, str], Any], length: int | None = None) -> Codec:
+    """Codec for a nonempty list, of exactly ``length`` items if given."""
+
+    def read_list(value: Any, where: str) -> tuple:
+        if not isinstance(value, (list, tuple)) or not value or length not in (None, len(value)):
+            size = "" if length is None else f" of {length} items"
+            raise ValueError(f"{where}: expected a nonempty list{size}, got {value!r}")
+        return tuple(read(item, f"{where}[{i}]") for i, item in enumerate(value))
+
+    return Codec(read_list)
+
+
+def _tagged(tag: str, table: dict[str, Kind], make: Callable, unmake: Callable) -> Codec:
+    """Codec for an object whose ``tag`` key names its entry in ``table``;
+    ``make(name, values)`` builds the value and ``unmake`` takes it apart."""
+
+    def read(doc: Any, where: str) -> Any:
+        name = doc.get(tag) if isinstance(doc, dict) else None
+        kind = _entry(table, name, where)
+        where = f"{where}[{name}]"
+        values = _read_fields(doc, where, kind.fields, [tag])
+        try:
+            return make(name, values)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+
+    def echo(obj: Any) -> dict:
+        name, values = unmake(obj)
+        return {tag: name, **_echo(table[name].fields, values)}
+
+    return Codec(read, echo)
+
+
+INT = Codec(_read_int)
+NUMBER = Codec(_read_number)
+STR = Codec(_read_str)
+
+DISTRIBUTIONS = {
+    "point": Kind(PointMass, (Field("value", NUMBER),)),
+    "uniform": Kind(UniformOn, (Field("low", NUMBER), Field("high", NUMBER))),
+    "bernoulli": Kind(
+        ScaledBernoulli, (Field("p", NUMBER), Field("hi", NUMBER, 1.0), Field("lo", NUMBER, 0.0))
+    ),
+}
+DISTRIBUTION = _tagged(
+    "type",
+    DISTRIBUTIONS,
+    lambda name, values: DISTRIBUTIONS[name].construct(values),
+    lambda dist: (next(n for n, k in DISTRIBUTIONS.items() if k.build is type(dist)), asdict(dist)),
+)
+
+# A stochastic arm is a (reward, cost) pair of distributions.
+ARM = (Field("reward", DISTRIBUTION), Field("cost", DISTRIBUTION))
+ARMS = Codec(
+    _list_of(lambda arm, where: tuple(_read_fields(arm, where, ARM).values())).read,
+    lambda arms: [{f.key: f.codec.echo(d) for f, d in zip(ARM, arm)} for arm in arms],
+)
+
+POLICIES = {
+    "exp3bwk": Kind(Exp3Bwk, (Field("gamma_override", NUMBER, None),)),
+    "exp3pp_bwk": Kind(
+        Exp3PPBwk,
+        (
+            Field("alpha", NUMBER, 3.0),
+            Field("beta", NUMBER, None),
+            Field("lambda", NUMBER, None, arg="lam"),
+        ),
+    ),
+    "fixed_arm": Kind(FixedArmPolicy, (Field("arm", INT),)),
+    "uniform": Kind(UniformPolicy),
+}
+
+# Environment builders take (budget, env_rng) and then their fields. The
+# inline kind holds its arms in the config; save_env_json writes specs as it.
+INLINE_KIND = "stochastic"
+ENVIRONMENTS = {
+    INLINE_KIND: Kind(
+        lambda budget, env_rng, cost_min, arms, cost_max, optimal_arm: StochasticEnvSpec(
+            InstanceParams(len(arms), budget, cost_min, cost_max), *zip(*arms), optimal_arm
+        ),
+        (
+            Field("cost_min", NUMBER),
+            Field("arms", ARMS),
+            Field("cost_max", NUMBER, 1.0),
+            Field("optimal_arm", INT, None),
+        ),
+        RegretMode.STOCHASTIC,
+    ),
+    "matrix_file": Kind(
+        lambda budget, env_rng, **file: _load_matrix(budget=budget, **file),
+        (Field("path", STR), Field("cost_min", NUMBER, None), Field("cost_max", NUMBER, None)),
+        RegretMode.ADVERSARIAL,
+    ),
+    "hidden_best_arm": Kind(
+        lambda budget, env_rng, n_arms, cost_min: hidden_best_arm_instance(
+            InstanceParams(n_arms, budget, cost_min), env_rng
+        ),
+        (Field("n_arms", INT), Field("cost_min", NUMBER)),
+        RegretMode.STOCHASTIC,
+        generated=True,
+    ),
+    "big_cost_trap": Kind(
+        lambda budget, env_rng, alpha, optimal_arm: big_cost_trap_matrix(
+            alpha, budget, optimal_arm, env_rng
+        ),
+        (Field("alpha", NUMBER), Field("optimal_arm", INT, None)),
+        RegretMode.ADVERSARIAL,
+        generated=True,
+    ),
+    "random_matrix": Kind(
+        lambda budget, env_rng, n_arms, cost_min, cost_max, **shape: random_matrix_spec(
+            InstanceParams(n_arms, budget, cost_min, cost_max), env_rng, **shape
+        ),
+        (
+            Field("n_arms", INT),
+            Field("cost_min", NUMBER),
+            Field("cost_max", NUMBER, 1.0),
+            Field("cost_jitter", NUMBER, None),
+            Field("reward_noise", NUMBER, 0.15),
+            Field("level_span", _list_of(_read_number, 2), (0.15, 0.85)),
+        ),
+        RegretMode.ADVERSARIAL,
+        generated=True,
+    ),
+}
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
+    """A policy named in ``POLICIES`` and its field values; absent optional
+    fields take their defaults."""
+
     name: str
-    gamma_override: float | None = None
-    alpha: float = 3.0
-    beta: float | None = None
-    lam: float | None = None
-    arm: int = 0
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        kind = _entry(POLICIES, self.name, "policy")
+        object.__setattr__(self, "params", _complete(kind.fields, self.params, "policy"))
 
     def build(self, params: InstanceParams) -> BudgetedPolicy:
-        if self.name == "exp3bwk":
-            return Exp3Bwk(params, gamma_override=self.gamma_override)
-        if self.name == "exp3pp_bwk":
-            return Exp3PPBwk(params, alpha=self.alpha, beta=self.beta, lam=self.lam)
-        if self.name == "fixed_arm":
-            return FixedArmPolicy(params, arm=self.arm)
-        if self.name == "uniform":
-            return UniformPolicy(params)
-        raise ValueError(f"unknown policy {self.name!r}")
+        return POLICIES[self.name].construct(self.params, params)
 
 
 @dataclass(frozen=True)
 class EnvironmentConfig:
-    """Environment factory: holds validated payload, builds a spec per budget.
+    """Environment factory: an ``ENVIRONMENTS`` kind and its field values,
+    building one spec per budget.
 
     Generated kinds draw fresh randomness per replication from the dedicated
     environment stream, so Monte-Carlo runs average over the construction's
@@ -97,57 +312,18 @@ class EnvironmentConfig:
     """
 
     kind: str
-    payload: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        kind = _entry(ENVIRONMENTS, self.kind, "environment")
+        object.__setattr__(self, "params", _complete(kind.fields, self.params, "environment"))
 
     @property
     def mode(self) -> RegretMode:
-        if self.kind in ("stochastic", "hidden_best_arm"):
-            return RegretMode.STOCHASTIC
-        return RegretMode.ADVERSARIAL
+        return ENVIRONMENTS[self.kind].mode
 
     def build(self, budget: float, env_rng: RngStream) -> EnvSpec:
-        p = self.payload
-        if self.kind == "stochastic":
-            params = InstanceParams(
-                n_arms=len(p["arms"]),
-                budget=budget,
-                cost_min=p["cost_min"],
-                cost_max=p["cost_max"],
-            )
-            return StochasticEnvSpec(
-                params=params,
-                reward_dists=tuple(a[0] for a in p["arms"]),
-                cost_dists=tuple(a[1] for a in p["arms"]),
-                optimal_arm=p.get("optimal_arm"),
-            )
-        if self.kind == "matrix_file":
-            return _load_matrix_cached(
-                p["path"], budget, p.get("cost_min"), p.get("cost_max")
-            )
-        if self.kind == "hidden_best_arm":
-            params = InstanceParams(
-                n_arms=p["n_arms"], budget=budget, cost_min=p["cost_min"], cost_max=1.0
-            )
-            return hidden_best_arm_instance(params, env_rng)
-        if self.kind == "big_cost_trap":
-            return big_cost_trap_matrix(
-                p["alpha"], budget, optimal_arm=p.get("optimal_arm"), rng=env_rng
-            )
-        if self.kind == "random_matrix":
-            params = InstanceParams(
-                n_arms=p["n_arms"],
-                budget=budget,
-                cost_min=p["cost_min"],
-                cost_max=p.get("cost_max", 1.0),
-            )
-            return random_matrix_spec(
-                params,
-                env_rng,
-                cost_jitter=p.get("cost_jitter"),
-                reward_noise=p.get("reward_noise", 0.15),
-                level_span=p.get("level_span", (0.15, 0.85)),
-            )
-        raise ValueError(f"unknown environment kind {self.kind!r}")
+        return ENVIRONMENTS[self.kind].construct(self.params, budget, env_rng)
 
 
 @dataclass(frozen=True)
@@ -164,6 +340,8 @@ class ExperimentConfig:
             raise ValueError("replications must be at least 1")
         if not self.budgets:
             raise ValueError("budgets must be nonempty")
+        if not self.budgets[0] > 0.0:
+            raise ValueError("budgets must be positive")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budgets must be strictly increasing")
 
@@ -179,140 +357,29 @@ class SummaryRow:
     mean_total_cost: float
 
 
-# --- strict JSON parsing (typos in experiment configs must not pass silently)
+_ENVIRONMENT = _tagged("kind", ENVIRONMENTS, EnvironmentConfig, lambda e: (e.kind, e.params))
 
 
-def _take(d: dict, where: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
-    unknown = set(d) - set(required) - set(optional)
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ValueError(f"{where}: missing keys {missing}")
-    return d
+def _read_environment(doc: Any, where: str) -> EnvironmentConfig:
+    if isinstance(doc, str):  # a path to a JSON file holding the object
+        with open(doc) as fh:
+            doc = json.load(fh)
+    return _ENVIRONMENT.read(doc, where)
 
 
-def _parse_distribution(d: Any, where: str) -> Distribution:
-    if not isinstance(d, dict) or "type" not in d:
-        raise ValueError(f"{where}: expected a distribution object with a 'type'")
-    kind = d["type"]
-    if kind == "point":
-        _take(d, where, ["type", "value"])
-        return PointMass(value=float(d["value"]))
-    if kind == "uniform":
-        _take(d, where, ["type", "low", "high"])
-        return UniformOn(low=float(d["low"]), high=float(d["high"]))
-    if kind == "bernoulli":
-        _take(d, where, ["type", "p"], ["hi", "lo"])
-        return ScaledBernoulli(
-            p=float(d["p"]), hi=float(d.get("hi", 1.0)), lo=float(d.get("lo", 0.0))
-        )
-    raise ValueError(f"{where}: unknown distribution type {kind!r}")
-
-
-def _parse_policy(d: Any) -> PolicyConfig:
-    if not isinstance(d, dict) or "name" not in d:
-        raise ValueError("policy: expected an object with a 'name'")
-    name = d["name"]
-    if name == "exp3bwk":
-        _take(d, "policy", ["name"], ["gamma_override"])
-        g = d.get("gamma_override")
-        return PolicyConfig(name=name, gamma_override=None if g is None else float(g))
-    if name == "exp3pp_bwk":
-        _take(d, "policy", ["name"], ["alpha", "beta", "lambda"])
-        beta = d.get("beta")
-        lam = d.get("lambda")
-        return PolicyConfig(
-            name=name,
-            alpha=float(d.get("alpha", 3.0)),
-            beta=None if beta is None else float(beta),
-            lam=None if lam is None else float(lam),
-        )
-    if name == "fixed_arm":
-        _take(d, "policy", ["name", "arm"])
-        return PolicyConfig(name=name, arm=int(d["arm"]))
-    if name == "uniform":
-        _take(d, "policy", ["name"])
-        return PolicyConfig(name=name)
-    raise ValueError(f"policy: unknown name {name!r}; expected one of {POLICY_NAMES}")
-
-
-def _parse_environment(d: Any) -> EnvironmentConfig:
-    if isinstance(d, str):
-        with open(d) as fh:
-            d = json.load(fh)
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValueError("environment: expected an object with a 'kind'")
-    kind = d["kind"]
-    where = f"environment[{kind}]"
-    if kind == "stochastic":
-        _take(d, where, ["kind", "cost_min", "arms"], ["cost_max", "optimal_arm"])
-        arms = []
-        for i, arm in enumerate(d["arms"]):
-            _take(arm, f"{where}.arms[{i}]", ["reward", "cost"])
-            arms.append(
-                (
-                    _parse_distribution(arm["reward"], f"{where}.arms[{i}].reward"),
-                    _parse_distribution(arm["cost"], f"{where}.arms[{i}].cost"),
-                )
-            )
-        payload = {
-            "arms": arms,
-            "cost_min": float(d["cost_min"]),
-            "cost_max": float(d.get("cost_max", 1.0)),
-            "optimal_arm": d.get("optimal_arm"),
-        }
-    elif kind == "matrix_file":
-        _take(d, where, ["kind", "path"], ["cost_min", "cost_max"])
-        payload = {
-            "path": d["path"],
-            "cost_min": d.get("cost_min"),
-            "cost_max": d.get("cost_max"),
-        }
-    elif kind == "hidden_best_arm":
-        _take(d, where, ["kind", "n_arms", "cost_min"])
-        payload = {"n_arms": int(d["n_arms"]), "cost_min": float(d["cost_min"])}
-    elif kind == "big_cost_trap":
-        _take(d, where, ["kind", "alpha"], ["optimal_arm"])
-        payload = {"alpha": float(d["alpha"]), "optimal_arm": d.get("optimal_arm")}
-    elif kind == "random_matrix":
-        _take(
-            d,
-            where,
-            ["kind", "n_arms", "cost_min"],
-            ["cost_max", "cost_jitter", "reward_noise", "level_span"],
-        )
-        jitter = d.get("cost_jitter")
-        span = d.get("level_span", (0.15, 0.85))
-        payload = {
-            "n_arms": int(d["n_arms"]),
-            "cost_min": float(d["cost_min"]),
-            "cost_max": float(d.get("cost_max", 1.0)),
-            "cost_jitter": None if jitter is None else float(jitter),
-            "reward_noise": float(d.get("reward_noise", 0.15)),
-            "level_span": (float(span[0]), float(span[1])),
-        }
-    else:
-        raise ValueError(f"environment: unknown kind {kind!r}; expected one of {ENV_KINDS}")
-    return EnvironmentConfig(kind=kind, payload=payload)
+EXPERIMENT = (
+    Field("policy", _tagged("name", POLICIES, PolicyConfig, lambda p: (p.name, p.params))),
+    Field("environment", Codec(_read_environment, _ENVIRONMENT.echo)),
+    Field("budgets", _list_of(_read_number)),
+    Field("replications", INT),
+    Field("base_seed", INT),
+    Field("output", STR, None),
+)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document; unknown keys anywhere are errors."""
-    _take(
-        doc,
-        "config",
-        ["policy", "environment", "budgets", "replications", "base_seed"],
-        ["output"],
-    )
-    return ExperimentConfig(
-        policy=_parse_policy(doc["policy"]),
-        environment=_parse_environment(doc["environment"]),
-        budgets=tuple(float(b) for b in doc["budgets"]),
-        replications=int(doc["replications"]),
-        base_seed=int(doc["base_seed"]),
-        output=doc.get("output"),
-    )
+    return ExperimentConfig(**_read_fields(doc, "config", EXPERIMENT))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -322,39 +389,24 @@ def load_config(path: str) -> ExperimentConfig:
 
 def resolved_config_dict(config: ExperimentConfig) -> dict:
     """Config echo with every default filled in, for the _config.json file."""
-    pol: dict[str, Any] = {"name": config.policy.name}
-    if config.policy.name == "exp3bwk":
-        pol["gamma_override"] = config.policy.gamma_override
-    elif config.policy.name == "exp3pp_bwk":
-        pol["alpha"] = config.policy.alpha
-        pol["beta"] = config.policy.beta
-        pol["lambda"] = config.policy.lam
-    elif config.policy.name == "fixed_arm":
-        pol["arm"] = config.policy.arm
-    env: dict[str, Any] = {"kind": config.environment.kind}
-    for key, value in config.environment.payload.items():
-        if key == "arms":
-            env["arms"] = [
-                {"reward": _dist_dict(r), "cost": _dist_dict(c)} for r, c in value
-            ]
-        else:
-            env[key] = value
-    return {
-        "policy": pol,
-        "environment": env,
-        "budgets": list(config.budgets),
-        "replications": config.replications,
-        "base_seed": config.base_seed,
-        "output": config.output,
-    }
+    return _echo(EXPERIMENT, vars(config))
 
 
-def _dist_dict(dist: Distribution) -> dict:
-    if isinstance(dist, PointMass):
-        return {"type": "point", "value": dist.value}
-    if isinstance(dist, UniformOn):
-        return {"type": "uniform", "low": dist.low, "high": dist.high}
-    return {"type": "bernoulli", "p": dist.p, "hi": dist.hi, "lo": dist.lo}
+def _write_json(doc: dict, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def save_env_json(spec: StochasticEnvSpec, path: str) -> None:
+    """Write ``spec`` as the inline environment object that builds it again."""
+    values = dict(
+        cost_min=spec.params.cost_min,
+        arms=tuple(zip(spec.reward_dists, spec.cost_dists)),
+        cost_max=spec.params.cost_max,
+        optimal_arm=spec.optimal_arm,
+    )
+    _write_json(_ENVIRONMENT.echo(EnvironmentConfig(INLINE_KIND, values)), path)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +577,8 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
     mx = math.fsum(xs) / len(xs)
     my = math.fsum(ys) / len(ys)
     sxx = math.fsum((x - mx) ** 2 for x in xs)
+    if sxx == 0.0:
+        raise ValueError("need at least 2 distinct budgets for a log-log fit")
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     return sxy / sxx
 
@@ -566,9 +620,7 @@ def emit_results(
     written.append(summary_path)
 
     config_path = f"{output_prefix}_config.json"
-    with open(config_path, "w") as fh:
-        json.dump(resolved_config_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(resolved_config_dict(config), config_path)
     written.append(config_path)
 
     for stream_id, trace in traces:

@@ -142,7 +142,7 @@ def mixed_episode_corpus():
         if policy_name == "exp3pp_bwk" and budget < params.n_arms * params.cost_max:
             policy_name = "exp3bwk"  # the sweep would not be affordable
         if policy_name == "fixed_arm":
-            pc = PolicyConfig(name="fixed_arm", arm=int(rng.integers(params.n_arms)))
+            pc = PolicyConfig("fixed_arm", {"arm": int(rng.integers(params.n_arms))})
         else:
             pc = PolicyConfig(name=policy_name)
         trace = run_episode(pc, spec, params.budget, BASE_SEED, 2 * i + 1)

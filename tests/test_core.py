@@ -189,6 +189,14 @@ class TestInstanceParams:
         with pytest.raises(ValueError):
             InstanceParams(n_arms=2, budget=1.0, cost_min=0.8, cost_max=0.5)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        # an infinite budget would overflow the horizon cap
+        with pytest.raises(ValueError, match="finite"):
+            InstanceParams(n_arms=2, budget=bad, cost_min=0.5)
+        with pytest.raises(ValueError):
+            InstanceParams(n_arms=2, budget=1.0, cost_min=0.5, cost_max=bad)
+
     def test_horizon_cap(self):
         p = InstanceParams(n_arms=2, budget=10.0, cost_min=0.25)
         assert p.horizon_cap() == 41

@@ -44,6 +44,17 @@ class TestDistributions:
         with pytest.raises(ValueError):
             ScaledBernoulli(p=1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PointMass(bad)
+        with pytest.raises(ValueError, match="finite"):
+            UniformOn(0.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            ScaledBernoulli(p=0.5, hi=bad)
+        with pytest.raises(ValueError):
+            ScaledBernoulli(p=bad)
+
     def test_sampling_respects_support(self):
         rng = RngStream(1)
         d = UniformOn(0.4, 0.6)
@@ -54,6 +65,11 @@ class TestDistributions:
 
 
 class TestStochasticSpec:
+    def test_nan_point_cost_rejected(self):
+        # a NaN cost would run the ledger to a NaN total
+        with pytest.raises(ValueError, match="finite"):
+            make_stochastic([(ScaledBernoulli(p=0.5), PointMass(math.nan))], cost_min=0.5)
+
     def test_support_validation(self):
         with pytest.raises(ValueError, match="reward support"):
             make_stochastic([(UniformOn(0.5, 1.1), PointMass(0.5))], cost_min=0.5)
@@ -141,6 +157,17 @@ class TestAdversarialSpec:
                 params=InstanceParams(n_arms=1, budget=1.0, cost_min=1.0),
                 rewards=np.full((1, 1), 1.5),
                 costs=np.ones((1, 1)),
+            )
+
+    def test_nan_cost_rejected(self):
+        # every comparison with NaN is False, so a range check alone passes it
+        costs = np.full((20, 2), 0.5)
+        costs[7, 1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            AdversarialMatrixSpec(
+                params=InstanceParams(n_arms=2, budget=10.0, cost_min=0.5),
+                rewards=np.zeros((20, 2)),
+                costs=costs,
             )
 
 

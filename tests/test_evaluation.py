@@ -226,7 +226,7 @@ class TestAdversarialRegret:
         params = InstanceParams(n_arms=3, budget=20.0, cost_min=0.25)
         spec = random_matrix_spec(params, RngStream(63))
         best = hindsight_fixed_arms(spec).best_reward_arm
-        trace = run_episode(PolicyConfig(name="fixed_arm", arm=best), spec, 20.0, 1, 1)
+        trace = run_episode(PolicyConfig("fixed_arm", {"arm": best}), spec, 20.0, 1, 1)
         report = adversarial_regret(trace, spec)
         assert report.reward_sum_regret == 0.0
 

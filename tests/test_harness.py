@@ -8,6 +8,7 @@ import pytest
 from bwklab.core import InstanceParams, RngStream, TerminationReason
 from bwklab.environments import big_cost_trap_matrix, random_matrix_spec, save_matrix_csv
 from bwklab.harness import (
+    SUMMARY_HEADER,
     PolicyConfig,
     emit_results,
     episode_stream_id,
@@ -27,6 +28,9 @@ STOCH_ENV = {
     ],
 }
 
+NAN_REWARD_ARM = {"reward": {"type": "point", "value": math.nan}, "cost": {"type": "point", "value": 0.5}}
+RANDOM_MATRIX_ENV = {"kind": "random_matrix", "n_arms": 2, "cost_min": 0.5}
+
 
 def config_doc(**overrides):
     doc = {
@@ -43,7 +47,7 @@ def config_doc(**overrides):
 class TestRunEpisode:
     def test_fixed_arm_forced_playout(self):
         spec = big_cost_trap_matrix(0.0, 5.0, optimal_arm=0)  # all costs 1
-        trace = run_episode(PolicyConfig(name="fixed_arm", arm=0), spec, 5.0, 1, 2)
+        trace = run_episode(PolicyConfig("fixed_arm", {"arm": 0}), spec, 5.0, 1, 2)
         assert trace.tau == 5
         assert trace.total_cost == 5.0
         assert trace.terminated_by is TerminationReason.BUDGET_EXHAUSTED
@@ -86,7 +90,7 @@ class TestRunEpisode:
 
         params = InstanceParams(n_arms=2, budget=3.0, cost_min=0.5)
         trace = run_episode(
-            PolicyConfig(name="fixed_arm", arm=0), ZeroCostEnv(params), 3.0, 1, 1
+            PolicyConfig("fixed_arm", {"arm": 0}), ZeroCostEnv(params), 3.0, 1, 1
         )
         assert trace.terminated_by is TerminationReason.HORIZON_CAP
         assert trace.tau == params.horizon_cap()
@@ -181,9 +185,38 @@ class TestConfigParsing:
             cfg = parse_config(config_doc(policy={"name": name}))
             assert cfg.policy.name == name
         cfg = parse_config(config_doc(policy={"name": "fixed_arm", "arm": 1}))
-        assert cfg.policy.arm == 1
+        assert cfg.policy.params["arm"] == 1
         with pytest.raises(ValueError, match="unknown name"):
             parse_config(config_doc(policy={"name": "ucb"}))
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("budgets", {"budgets": "789"}),
+            ("replications", {"replications": 2.7}),
+            ("replications", {"replications": True}),
+            ("n_arms", {"environment": {"kind": "hidden_best_arm", "n_arms": 2.9, "cost_min": 0.5}}),
+            ("budgets", {"budgets": [math.inf]}),
+            ("value", {"environment": dict(STOCH_ENV, arms=[NAN_REWARD_ARM])}),
+            ("level_span", {"environment": dict(RANDOM_MATRIX_ENV, level_span=[0.1, 0.5, 0.9])}),
+            ("optimal_arm", {"environment": dict(STOCH_ENV, optimal_arm="x")}),
+        ],
+    )
+    def test_ill_typed_fields_rejected_at_parse(self, tmp_path, capsys, monkeypatch, field, overrides):
+        doc = config_doc(**overrides)
+        with pytest.raises(ValueError, match=field):
+            parse_config(doc)
+        from bwklab import harness
+        from bwklab.cli import main
+
+        episodes = []
+        monkeypatch.setattr(harness, "run_episode", lambda *args: episodes.append(args))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert episodes == []
 
     def test_environment_file_indirection(self, tmp_path):
         env_path = tmp_path / "env.json"
@@ -222,6 +255,17 @@ class TestFitLoglogSlope:
         with pytest.warns(UserWarning, match="nonpositive"):
             slope = fit_loglog_slope(points)
         assert slope == pytest.approx(0.5, abs=0.01)
+
+    def test_repeated_budget_is_error(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="distinct budgets"):
+            fit_loglog_slope([(100.0, 1.0), (100.0, 2.0), (100.0, 3.0)])
+        from bwklab.cli import main
+
+        path = tmp_path / "s_summary.csv"
+        rows = ["exp3bwk,100,2,%d,0.1,50,99" % r for r in (1, 2, 3)]
+        path.write_text("\n".join([SUMMARY_HEADER, *rows]) + "\n")
+        assert main(["slope", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_too_few_points_is_error(self):
         with pytest.raises(ValueError, match="at least 3"):
