@@ -19,6 +19,13 @@ from .harness import (
 )
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     prefix = args.out or config.output
@@ -71,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("--config", required=True, help="path to a JSON config")
     p_run.add_argument("--out", default=None, help="output file prefix")
-    p_run.add_argument("--threads", type=int, default=1, help="worker processes")
+    p_run.add_argument("--threads", type=positive_int, default=1, help="worker processes")
     p_run.add_argument(
         "--emit-traces", action="store_true", help="also write per-episode trace CSVs"
     )

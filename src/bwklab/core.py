@@ -6,7 +6,8 @@ state, so episodes can run on parallel workers without shared mutation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -70,6 +71,76 @@ class RoundRecord:
     budget_after: float
 
 
+class RoundColumns:
+    """The paid rounds of one episode, one typed array per RoundRecord field.
+
+    A round costs five array slots plus one per arm, against an object per
+    round for records. Probability vectors are stored flat, ``width`` values
+    per round. Arrays pickle as raw buffers, so workers return them cheaply.
+    """
+
+    __slots__ = ("t", "arm", "reward", "cost", "budget_after", "probs")
+
+    def __init__(self) -> None:
+        self.t = array("l")
+        self.arm = array("l")
+        self.reward = array("d")
+        self.cost = array("d")
+        self.budget_after = array("d")
+        self.probs = array("d")
+
+    @classmethod
+    def of(cls, rounds: Iterable[RoundRecord]) -> "RoundColumns":
+        cols = cls()
+        for r in rounds:
+            if cols.t and len(r.probs) != cols.width:
+                raise ValueError("rounds of one episode must have equal-length probs")
+            cols.append(r.t, r.arm, r.probs, r.outcome.reward, r.outcome.cost, r.budget_after)
+        return cols
+
+    def append(
+        self,
+        t: int,
+        arm: int,
+        probs: Iterable[float],
+        reward: float,
+        cost: float,
+        budget_after: float,
+    ) -> None:
+        self.t.append(t)
+        self.arm.append(arm)
+        self.probs.extend(probs)
+        self.reward.append(reward)
+        self.cost.append(cost)
+        self.budget_after.append(budget_after)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @property
+    def width(self) -> int:
+        """Probabilities per round (the arm count); 0 with no rounds."""
+        return len(self.probs) // len(self.t) if self.t else 0
+
+    def records(self) -> tuple[RoundRecord, ...]:
+        k = self.width
+        p = self.probs
+        return tuple(
+            RoundRecord(t, arm, tuple(p[i * k : (i + 1) * k]), Outcome(reward, cost), left)
+            for i, (t, arm, reward, cost, left) in enumerate(
+                zip(self.t, self.arm, self.reward, self.cost, self.budget_after)
+            )
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoundColumns):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"RoundColumns(<{len(self)} rounds>)"
+
+
 @dataclass(frozen=True)
 class RunTrace:
     """Complete record of one episode, the unit of evaluation.
@@ -77,44 +148,43 @@ class RunTrace:
     ``aborted_pull`` holds a final pull whose cost exceeded the remaining
     budget: its outcome was observed but neither reward was collected nor
     cost paid, so ``total_cost <= budget`` holds with probability 1.
+    The totals and ``tau`` are derived from ``columns``.
     """
 
     budget: float
-    rounds: tuple[RoundRecord, ...]
+    columns: RoundColumns
     terminated_by: TerminationReason
-    aborted_pull: tuple[int, Outcome] | None
-    total_reward: float
-    total_cost: float
-    tau: int
+    aborted_pull: tuple[int, Outcome] | None = None
+    total_reward: float = field(init=False)
+    total_cost: float = field(init=False)
+    tau: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total_reward", math.fsum(self.columns.reward))
+        object.__setattr__(self, "total_cost", math.fsum(self.columns.cost))
+        object.__setattr__(self, "tau", len(self.columns))
 
     @classmethod
     def build(
         cls,
         budget: float,
-        rounds: Sequence[RoundRecord],
+        rounds: Iterable[RoundRecord],
         terminated_by: TerminationReason,
         aborted_pull: tuple[int, Outcome] | None = None,
     ) -> "RunTrace":
-        rounds = tuple(rounds)
-        return cls(
-            budget=budget,
-            rounds=rounds,
-            terminated_by=terminated_by,
-            aborted_pull=aborted_pull,
-            total_reward=math.fsum(r.outcome.reward for r in rounds),
-            total_cost=math.fsum(r.outcome.cost for r in rounds),
-            tau=len(rounds),
-        )
+        return cls(budget, RoundColumns.of(rounds), terminated_by, aborted_pull)
+
+    @property
+    def rounds(self) -> tuple[RoundRecord, ...]:
+        """The paid rounds as records, built on each access."""
+        return self.columns.records()
 
     def pull_counts(self, n_arms: int) -> list[int]:
-        counts = [0] * n_arms
-        for r in self.rounds:
-            counts[r.arm] += 1
-        return counts
+        return [self.columns.arm.count(i) for i in range(n_arms)]
 
     def efficiency_total(self) -> float:
         """Sum of per-round reward/cost ratios over completed rounds."""
-        return math.fsum(r.outcome.reward / r.outcome.cost for r in self.rounds)
+        return math.fsum(r / c for r, c in zip(self.columns.reward, self.columns.cost))
 
 
 class RngStream:
@@ -161,9 +231,6 @@ class RngStream:
         """Uniform index in [0, n)."""
         return min(int(self.uniform() * n), n - 1)
 
-    def bernoulli(self, p: float) -> bool:
-        return self.uniform() < p
-
     def index(self, probs: Sequence[float]) -> int:
         """Inverse-CDF draw from a probability vector."""
         u = self.uniform()
@@ -184,10 +251,11 @@ class ExactSum:
     never exceed the budget through accumulated float error.
     """
 
-    __slots__ = ("_partials",)
+    __slots__ = ("_partials", "_value")
 
     def __init__(self) -> None:
         self._partials: list[float] = []
+        self._value = 0.0
 
     @staticmethod
     def _grown(partials: list[float], x: float) -> list[float]:
@@ -205,35 +273,22 @@ class ExactSum:
 
     def add(self, x: float) -> None:
         self._partials = self._grown(self._partials, x)
+        self._value = math.fsum(self._partials)
 
     def add_if_within(self, x: float, limit: float) -> bool:
         """Add ``x`` only if the new sum stays within ``limit``."""
         grown = self._grown(self._partials, x)
-        if math.fsum(grown) > limit:
+        value = math.fsum(grown)
+        if value > limit:
             return False
         self._partials = grown
+        self._value = value
         return True
-
-    def peek_add(self, x: float) -> float:
-        """Value the sum would have after adding ``x``, without committing."""
-        return math.fsum(self._grown(self._partials, x))
 
     @property
     def value(self) -> float:
-        return math.fsum(self._partials)
-
-
-def log_sum_exp(log_values: Sequence[float]) -> float:
-    """log(sum(exp(v))) computed with the max shifted out first.
-
-    Entries may be -inf (treated as absent terms); returns -inf iff all are.
-    """
-    if len(log_values) == 0:
-        raise ValueError("empty collection")
-    m = max(log_values)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(v - m) for v in log_values))
+        """The correctly rounded sum, kept from the last accepted add."""
+        return self._value
 
 
 def normalized_probs_from_log_weights(log_weights: Sequence[float]) -> list[float]:
@@ -247,17 +302,6 @@ def normalized_probs_from_log_weights(log_weights: Sequence[float]) -> list[floa
     exps = [math.exp(v - m) for v in log_weights]
     total = sum(exps)
     return [e / total for e in exps]
-
-
-def require_simplex(probs: Iterable[float], tol: float = 1e-9) -> None:
-    """Raise unless ``probs`` is a probability vector (nonneg, sums to 1)."""
-    probs = list(probs)
-    for p in probs:
-        if p < 0:
-            raise ValueError(f"negative probability {p}")
-    s = math.fsum(probs)
-    if abs(s - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {s}, not 1")
 
 
 def stable_mix64(*parts: int) -> int:

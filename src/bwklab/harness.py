@@ -15,9 +15,8 @@ from typing import Any, Callable, NamedTuple, Sequence, Union
 
 from .core import (
     InstanceParams,
-    Outcome,
     RngStream,
-    RoundRecord,
+    RoundColumns,
     RunTrace,
     TerminationReason,
     float_bits,
@@ -432,7 +431,8 @@ def run_episode(
     policy = policy_config.build(params)
     rng = RngStream(seed, stream_id)
     cap = params.horizon_cap()
-    rounds: list[RoundRecord] = []
+    columns = RoundColumns()
+    record = columns.append
     reason = TerminationReason.BUDGET_EXHAUSTED
     while not policy.terminated and policy.remaining_budget > 0.0:
         if policy.t > cap:
@@ -442,21 +442,8 @@ def run_episode(
         arm, probs = policy.select(rng)
         outcome = env_spec.step(t, arm, rng)
         if policy.update(arm, probs, outcome):
-            rounds.append(
-                RoundRecord(
-                    t=t,
-                    arm=arm,
-                    probs=tuple(probs),
-                    outcome=outcome,
-                    budget_after=policy.remaining_budget,
-                )
-            )
-    return RunTrace.build(
-        budget=budget,
-        rounds=rounds,
-        terminated_by=reason,
-        aborted_pull=policy.aborted_pull,
-    )
+            record(t, arm, probs, outcome.reward, outcome.cost, policy.remaining_budget)
+    return RunTrace(budget, columns, reason, policy.aborted_pull)
 
 
 def episode_stream_id(budget: float, replication: int) -> int:
@@ -488,16 +475,34 @@ def _run_one(
     return trace, report, spec
 
 
-def _episode_task(args: tuple[ExperimentConfig, float, int]) -> tuple[float, int, float, int, float]:
-    config, budget, replication = args
+class EpisodeResult(NamedTuple):
+    """What a worker returns for one episode; ``trace`` only when asked for."""
+
+    budget: float
+    replication: int
+    regret: float
+    tau: int
+    total_cost: float
+    trace: RunTrace | None
+
+
+def _episode_task(args: tuple[ExperimentConfig, float, int, bool]) -> EpisodeResult:
+    config, budget, replication, keep_trace = args
     try:
         trace, report, _ = _run_one(config, budget, replication)
     except Exception as exc:
         raise RuntimeError(
             f"episode failed (B={budget}, replication={replication}, "
-            f"seed={config.base_seed})"
+            f"seed={config.base_seed}): {type(exc).__name__}: {exc}"
         ) from exc
-    return budget, replication, report.primary_regret, trace.tau, trace.total_cost
+    return EpisodeResult(
+        budget,
+        replication,
+        report.primary_regret,
+        trace.tau,
+        trace.total_cost,
+        trace if keep_trace else None,
+    )
 
 
 def run_experiment(
@@ -510,12 +515,13 @@ def run_experiment(
     ``threads`` > 1 runs episodes on a process pool; rows are reduced in
     (budget, replication) order either way, so results are byte-identical
     regardless of parallelism. ``trace_hook(budget, rep, stream_id, trace)``,
-    if given, replays episodes serially after aggregation (trace emission is
-    a debugging path; it stays off the workers).
+    if given, receives every episode's trace in that same order; the traces
+    are recorded by the worker that ran the episode, so none runs twice.
     """
     mode = config.environment.mode
+    keep_traces = trace_hook is not None
     tasks = [
-        (config, budget, rep)
+        (config, budget, rep, keep_traces)
         for budget in config.budgets
         for rep in range(config.replications)
     ]
@@ -530,9 +536,9 @@ def run_experiment(
     for i, budget in enumerate(config.budgets):
         chunk = results[i * n : (i + 1) * n]
         if mode is RegretMode.STOCHASTIC:
-            reports = [RegretReport(mode=mode, pseudo_regret=r) for (_, _, r, _, _) in chunk]
+            reports = [RegretReport(mode=mode, pseudo_regret=r.regret) for r in chunk]
         else:
-            reports = [RegretReport(mode=mode, reward_sum_regret=r) for (_, _, r, _, _) in chunk]
+            reports = [RegretReport(mode=mode, reward_sum_regret=r.regret) for r in chunk]
         agg = aggregate_regret(reports)
         rows.append(
             SummaryRow(
@@ -541,15 +547,14 @@ def run_experiment(
                 replications=n,
                 mean_regret=agg.mean_regret,
                 stderr_regret=agg.stderr_regret,
-                mean_tau=math.fsum(tau for (_, _, _, tau, _) in chunk) / n,
-                mean_total_cost=math.fsum(c for (_, _, _, _, c) in chunk) / n,
+                mean_tau=math.fsum(r.tau for r in chunk) / n,
+                mean_total_cost=math.fsum(r.total_cost for r in chunk) / n,
             )
         )
     if trace_hook is not None:
-        for budget in config.budgets:
-            for rep in range(config.replications):
-                trace, _, _ = _run_one(config, budget, rep)
-                trace_hook(budget, rep, episode_stream_id(budget, rep), trace)
+        for r in results:
+            sid = episode_stream_id(r.budget, r.replication)
+            trace_hook(r.budget, r.replication, sid, r.trace)
     return rows
 
 
@@ -625,22 +630,16 @@ def emit_results(
 
     for stream_id, trace in traces:
         trace_path = f"{output_prefix}_trace_{stream_id}.csv"
+        cols = trace.columns
+        k = cols.width
         with open(trace_path, "w", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for r in trace.rounds:
-                fh.write(
-                    ",".join(
-                        [
-                            str(r.t),
-                            str(r.arm),
-                            _fmt(r.outcome.reward),
-                            _fmt(r.outcome.cost),
-                            _fmt(r.budget_after),
-                            _fmt(r.probs[r.arm]),
-                        ]
-                    )
-                    + "\n"
+            fh.writelines(
+                f"{t},{arm},{reward:.12g},{cost:.12g},{left:.12g},{cols.probs[i * k + arm]:.12g}\n"
+                for i, (t, arm, reward, cost, left) in enumerate(
+                    zip(cols.t, cols.arm, cols.reward, cols.cost, cols.budget_after)
                 )
+            )
         written.append(trace_path)
     return written
 

@@ -1,8 +1,13 @@
 """Core types and numeric primitives."""
+import copy
 import math
+import pickle
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bwklab.core import (
     ExactSum,
@@ -13,11 +18,40 @@ from bwklab.core import (
     RunTrace,
     TerminationReason,
     float_bits,
-    log_sum_exp,
     normalized_probs_from_log_weights,
-    require_simplex,
     stable_mix64,
 )
+
+
+def log_sum_exp(log_values: Sequence[float]) -> float:
+    """log(sum(exp(v))) computed with the max shifted out first.
+
+    Entries may be -inf (treated as absent terms); returns -inf iff all are.
+    """
+    if len(log_values) == 0:
+        raise ValueError("empty collection")
+    m = max(log_values)
+    if m == -math.inf:
+        return -math.inf
+    return m + math.log(sum(math.exp(v - m) for v in log_values))
+
+
+def require_simplex(probs: Iterable[float], tol: float = 1e-9) -> None:
+    """Raise unless ``probs`` is a probability vector (nonneg, sums to 1)."""
+    probs = list(probs)
+    for p in probs:
+        if p < 0:
+            raise ValueError(f"negative probability {p}")
+    s = math.fsum(probs)
+    if abs(s - 1.0) > tol:
+        raise ValueError(f"probabilities sum to {s}, not 1")
+
+
+def peek_add(acc: ExactSum, x: float) -> float:
+    """Value ``acc`` would have after adding ``x``, without committing."""
+    trial = copy.copy(acc)
+    trial.add(x)
+    return trial.value
 
 
 class TestLogSumExp:
@@ -171,10 +205,31 @@ class TestExactSum:
             paid += 1
         assert paid == 10
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.floats(-1e6, 1e6, allow_nan=False),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            max_size=40,
+        )
+    )
+    def test_cached_value_is_fsum_of_accepted_terms(self, ops):
+        acc = ExactSum()
+        accepted = []
+        for bounded, x, limit in ops:
+            if not bounded:
+                acc.add(x)
+                accepted.append(x)
+            elif acc.add_if_within(x, limit):
+                accepted.append(x)
+            assert acc.value == math.fsum(accepted)
+
     def test_peek_does_not_commit(self):
         acc = ExactSum()
         acc.add(0.5)
-        assert acc.peek_add(0.25) == 0.75
+        assert peek_add(acc, 0.25) == 0.75
         assert acc.value == 0.5
 
 
@@ -217,6 +272,30 @@ class TestRunTrace:
         assert trace.total_cost == 1.0
         assert trace.pull_counts(2) == [2, 1]
         assert trace.efficiency_total() == pytest.approx(0.5 / 0.25 + 0.0 + 4.0)
+
+    ROUNDS = (
+        RoundRecord(1, 1, (0.2, 0.7, 0.1), Outcome(0.75, 0.5), 1.5),
+        RoundRecord(2, 0, (0.3, 0.6, 0.1), Outcome(0.0, 0.25), 1.25),
+    )
+
+    def test_rounds_are_rebuilt_equal(self):
+        aborted = (2, Outcome(1.0, 2.0))
+        trace = RunTrace.build(2.0, self.ROUNDS, TerminationReason.BUDGET_EXHAUSTED, aborted)
+        assert trace.rounds == self.ROUNDS
+        assert RunTrace.build(1.0, [], TerminationReason.HORIZON_CAP).rounds == ()
+
+    def test_unequal_probability_widths_rejected(self):
+        rounds = [self.ROUNDS[0], RoundRecord(2, 0, (1.0, 0.0), Outcome(0.0, 0.25), 1.25)]
+        with pytest.raises(ValueError, match="equal-length"):
+            RunTrace.build(2.0, rounds, TerminationReason.BUDGET_EXHAUSTED)
+
+    def test_pickle_round_trip(self):
+        aborted = (2, Outcome(1.0, 2.0))
+        trace = RunTrace.build(2.0, self.ROUNDS, TerminationReason.BUDGET_EXHAUSTED, aborted)
+        back = pickle.loads(pickle.dumps(trace))
+        assert back == trace
+        assert back.rounds == self.ROUNDS
+        assert (back.tau, back.total_reward, back.total_cost) == (2, 0.75, 0.75)
 
 
 class TestStableHash:

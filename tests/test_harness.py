@@ -2,6 +2,7 @@
 import copy
 import json
 import math
+import os
 
 import pytest
 
@@ -144,6 +145,24 @@ class TestRunExperiment:
         )
         with pytest.raises(RuntimeError, match=r"B=1.0, replication=0"):
             run_experiment(parse_config(doc))
+
+    def test_traces_come_from_the_one_run_of_each_episode(self, monkeypatch):
+        from bwklab import harness
+
+        calls = []
+        run_once = harness.run_episode
+
+        def counted(*args):
+            calls.append(args[-1])
+            return run_once(*args)
+
+        monkeypatch.setattr(harness, "run_episode", counted)
+        cfg = parse_config(config_doc(replications=2))
+        traces = []
+        run_experiment(cfg, trace_hook=lambda b, rep, sid, tr: traces.append((sid, tr)))
+        assert calls == [sid for sid, _ in traces]
+        assert len(set(calls)) == 4
+        assert all(tr.tau > 0 for _, tr in traces)
 
     def test_trace_hook_replays_in_order(self):
         cfg = parse_config(config_doc(replications=2))
@@ -316,6 +335,51 @@ class TestEmitResults:
 
 
 class TestCli:
+    @staticmethod
+    def run_cli(tmp_path, doc, *flags):
+        from bwklab.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        return main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *flags])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_emitted_traces_do_not_depend_on_worker_count(self, tmp_path, capsys, threads):
+        doc = config_doc(budgets=[10, 20], replications=5)
+        assert self.run_cli(tmp_path, doc, "--emit-traces") == 0
+        serial = {p: open(p, "rb").read() for p in capsys.readouterr().out.split()}
+        assert len(serial) == 2 + 10
+        for p in serial:
+            os.remove(p)
+        assert self.run_cli(tmp_path, doc, "--emit-traces", "--threads", threads) == 0
+        pooled = {p: open(p, "rb").read() for p in capsys.readouterr().out.split()}
+        assert pooled == serial
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as exit_:
+            self.run_cli(tmp_path, config_doc(), "--threads", threads)
+        assert exit_.value.code == 2
+        assert "--threads: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_episode_error_names_its_cause(self, tmp_path, capsys, threads):
+        fixed_arm_5 = config_doc(policy={"name": "fixed_arm", "arm": 5})
+        assert self.run_cli(tmp_path, fixed_arm_5, "--threads", threads) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: episode failed (B=20.0, replication=0, seed=7)")
+        assert "ValueError: arm 5 out of range" in err
+
+        path = tmp_path / "m.csv"
+        rows = ["1,0,0.5,nan", "1,1,0.5,1", "2,0,0.5,1", "2,1,0.5,1"]
+        path.write_text("\n".join(["t,arm,reward,cost", *rows]) + "\n")
+        env = {"kind": "matrix_file", "path": str(path), "cost_min": 0.5, "cost_max": 1.0}
+        nan_cost = config_doc(environment=env, budgets=[1])
+        assert self.run_cli(tmp_path, nan_cost, "--threads", threads) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: episode failed (B=1.0, replication=0, seed=7)")
+        assert "ValueError: matrix rewards and costs must be finite" in err
+
     def test_run_slope_genenv(self, tmp_path, capsys):
         from bwklab.cli import main
 
