@@ -271,10 +271,6 @@ class ExactSum:
         out.append(x)
         return out
 
-    def add(self, x: float) -> None:
-        self._partials = self._grown(self._partials, x)
-        self._value = math.fsum(self._partials)
-
     def add_if_within(self, x: float, limit: float) -> bool:
         """Add ``x`` only if the new sum stays within ``limit``."""
         grown = self._grown(self._partials, x)

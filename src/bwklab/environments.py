@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -131,8 +131,15 @@ class StochasticEnvSpec:
         return self.cost_dists[arm].mean
 
     def step(self, t: int, arm: int, rng: RngStream) -> Outcome:
-        del t  # i.i.d. draws do not depend on the round
-        return stochastic_step(self, arm, rng)
+        """One independent (reward, cost) draw for ``arm``; i.i.d. draws do
+        not depend on the round ``t``.
+
+        Consumes the rng stream deterministically: reward draw first, then cost.
+        """
+        if not 0 <= arm < self.params.n_arms:
+            raise ValueError(f"arm {arm} out of range")
+        reward = self.reward_dists[arm].sample(rng)
+        return Outcome(reward=reward, cost=self.cost_dists[arm].sample(rng))
 
 
 @dataclass(frozen=True)
@@ -176,36 +183,15 @@ class AdversarialMatrixSpec:
         return self.rewards.shape[0]
 
     def step(self, t: int, arm: int, rng: RngStream | None = None) -> Outcome:
-        del rng  # pure lookup
-        return adversarial_step(self, t, arm)
-
-
-# ---------------------------------------------------------------------------
-# Step operations
-# ---------------------------------------------------------------------------
-
-
-def stochastic_step(spec: StochasticEnvSpec, arm: int, rng: RngStream) -> Outcome:
-    """One independent (reward, cost) draw for ``arm``.
-
-    Consumes the rng stream deterministically: reward draw first, then cost.
-    """
-    if not 0 <= arm < spec.params.n_arms:
-        raise ValueError(f"arm {arm} out of range")
-    reward = spec.reward_dists[arm].sample(rng)
-    cost = spec.cost_dists[arm].sample(rng)
-    return Outcome(reward=reward, cost=cost)
-
-
-def adversarial_step(spec: AdversarialMatrixSpec, t: int, arm: int) -> Outcome:
-    """Pure lookup of the pre-committed outcome for round ``t`` (1-based)."""
-    if not 1 <= t <= spec.t_max:
-        raise ValueError(f"round {t} out of range [1, {spec.t_max}]")
-    if not 0 <= arm < spec.params.n_arms:
-        raise ValueError(f"arm {arm} out of range")
-    return Outcome(
-        reward=float(spec.rewards[t - 1, arm]), cost=float(spec.costs[t - 1, arm])
-    )
+        """Pure lookup of the pre-committed outcome for round ``t`` (1-based);
+        ``rng`` is not drawn from."""
+        if not 1 <= t <= self.t_max:
+            raise ValueError(f"round {t} out of range [1, {self.t_max}]")
+        if not 0 <= arm < self.params.n_arms:
+            raise ValueError(f"arm {arm} out of range")
+        return Outcome(
+            reward=float(self.rewards[t - 1, arm]), cost=float(self.costs[t - 1, arm])
+        )
 
 
 def true_efficiency(spec: StochasticEnvSpec, arm: int) -> float:
@@ -349,7 +335,7 @@ def load_matrix_csv(
     """Parse a matrix file back into a spec.
 
     Cost bounds default to the tightest interval covering the data. Parse
-    errors report the offending line number.
+    errors and non-finite cells report the offending line number.
     """
     cells: dict[tuple[int, int], tuple[float, float]] = {}
     max_t = 0
@@ -371,6 +357,8 @@ def load_matrix_csv(
                 cost = float(row[3])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if not (math.isfinite(reward) and math.isfinite(cost)):
+                raise ValueError(f"{path}: line {lineno}: reward and cost must be finite")
             if t < 1 or arm < 0:
                 raise ValueError(f"{path}: line {lineno}: t must be >= 1 and arm >= 0")
             if (t, arm) in cells:

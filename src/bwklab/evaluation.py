@@ -20,6 +20,13 @@ class RegretMode(Enum):
     ADVERSARIAL = "adversarial"
 
 
+# The regret figure each regime is scored by.
+PRIMARY_FIGURE = {
+    RegretMode.STOCHASTIC: "pseudo_regret",
+    RegretMode.ADVERSARIAL: "reward_sum_regret",
+}
+
+
 @dataclass(frozen=True)
 class HindsightReport:
     """Fixed-arm playouts of a matrix: feasible rounds and cumulative sums.
@@ -38,29 +45,37 @@ class HindsightReport:
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Regret figures for one episode or an aggregate of episodes."""
+    """Regret figures for one episode.
+
+    Each regime is scored by its own notion (``PRIMARY_FIGURE``):
+    pseudo-regret in stochastic mode, hindsight reward-sum regret against
+    the best fixed arm in adversarial mode. The figure for ``mode`` must be
+    present; the others are optional diagnostics.
+    """
 
     mode: RegretMode
     pseudo_regret: float | None = None
     reward_sum_regret: float | None = None
     efficiency_regret: float | None = None
     z_value: float | None = None
-    n_episodes: int = 1
-    mean_regret: float | None = None
-    stderr_regret: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.primary_regret is None:
+            raise ValueError(f"{self.mode.value} report needs its {PRIMARY_FIGURE[self.mode]}")
 
     @property
     def primary_regret(self) -> float:
-        """The scalar an experiment averages: pseudo-regret in stochastic
-        mode, hindsight reward-sum regret in adversarial mode."""
-        value = (
-            self.pseudo_regret
-            if self.mode is RegretMode.STOCHASTIC
-            else self.reward_sum_regret
-        )
-        if value is None:
-            raise ValueError("report carries no per-episode regret")
-        return value
+        """The scalar an experiment averages: the figure for ``mode``."""
+        return getattr(self, PRIMARY_FIGURE[self.mode])
+
+
+@dataclass(frozen=True)
+class RegretSummary:
+    """Mean and standard error of the primary regret over episodes."""
+
+    n_episodes: int
+    mean_regret: float
+    stderr_regret: float
 
 
 def _argmax_lowest(values: Sequence[float]) -> int:
@@ -204,7 +219,7 @@ def stochastic_regret_report(trace: RunTrace, spec: StochasticEnvSpec) -> Regret
     )
 
 
-def aggregate_regret(reports: Sequence[RegretReport]) -> RegretReport:
+def aggregate_regret(reports: Sequence[RegretReport]) -> RegretSummary:
     """Mean and standard error of the primary regret over episodes."""
     if not reports:
         raise ValueError("no reports to aggregate")
@@ -219,6 +234,4 @@ def aggregate_regret(reports: Sequence[RegretReport]) -> RegretReport:
     else:
         var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
         stderr = math.sqrt(var / n)
-    return RegretReport(
-        mode=mode, n_episodes=n, mean_regret=mean, stderr_regret=stderr
-    )
+    return RegretSummary(n_episodes=n, mean_regret=mean, stderr_regret=stderr)

@@ -456,52 +456,37 @@ def instance_stream_id(budget: float, replication: int) -> int:
     return stable_mix64(float_bits(budget), replication, 1)
 
 
-def _run_one(
-    config: ExperimentConfig, budget: float, replication: int
-) -> tuple[RunTrace, RegretReport, EnvSpec]:
-    env_rng = RngStream(config.base_seed, instance_stream_id(budget, replication))
-    spec = config.environment.build(budget, env_rng)
-    trace = run_episode(
-        config.policy,
-        spec,
-        budget,
-        config.base_seed,
-        episode_stream_id(budget, replication),
-    )
-    if config.environment.mode is RegretMode.STOCHASTIC:
-        report = stochastic_regret_report(trace, spec)
-    else:
-        report = adversarial_regret(trace, spec)
-    return trace, report, spec
-
-
 class EpisodeResult(NamedTuple):
     """What a worker returns for one episode; ``trace`` only when asked for."""
 
     budget: float
     replication: int
-    regret: float
+    report: RegretReport
     tau: int
     total_cost: float
     trace: RunTrace | None
 
 
 def _episode_task(args: tuple[ExperimentConfig, float, int, bool]) -> EpisodeResult:
+    """Build the episode's environment, run it and score its regret."""
     config, budget, replication, keep_trace = args
+    if config.environment.mode is RegretMode.STOCHASTIC:
+        regret = stochastic_regret_report
+    else:
+        regret = adversarial_regret
     try:
-        trace, report, _ = _run_one(config, budget, replication)
+        env_rng = RngStream(config.base_seed, instance_stream_id(budget, replication))
+        spec = config.environment.build(budget, env_rng)
+        sid = episode_stream_id(budget, replication)
+        trace = run_episode(config.policy, spec, budget, config.base_seed, sid)
+        report = regret(trace, spec)
     except Exception as exc:
         raise RuntimeError(
             f"episode failed (B={budget}, replication={replication}, "
             f"seed={config.base_seed}): {type(exc).__name__}: {exc}"
         ) from exc
     return EpisodeResult(
-        budget,
-        replication,
-        report.primary_regret,
-        trace.tau,
-        trace.total_cost,
-        trace if keep_trace else None,
+        budget, replication, report, trace.tau, trace.total_cost, trace if keep_trace else None
     )
 
 
@@ -518,7 +503,6 @@ def run_experiment(
     if given, receives every episode's trace in that same order; the traces
     are recorded by the worker that ran the episode, so none runs twice.
     """
-    mode = config.environment.mode
     keep_traces = trace_hook is not None
     tasks = [
         (config, budget, rep, keep_traces)
@@ -535,11 +519,7 @@ def run_experiment(
     n = config.replications
     for i, budget in enumerate(config.budgets):
         chunk = results[i * n : (i + 1) * n]
-        if mode is RegretMode.STOCHASTIC:
-            reports = [RegretReport(mode=mode, pseudo_regret=r.regret) for r in chunk]
-        else:
-            reports = [RegretReport(mode=mode, reward_sum_regret=r.regret) for r in chunk]
-        agg = aggregate_regret(reports)
+        agg = aggregate_regret([r.report for r in chunk])
         rows.append(
             SummaryRow(
                 policy=config.policy.name,
@@ -645,7 +625,12 @@ def emit_results(
 
 
 def parse_summary_csv(path: str) -> list[SummaryRow]:
-    """Read a summary file back into rows (12-significant-digit floats)."""
+    """Read a summary file back into rows (12-significant-digit floats).
+
+    Every number must be finite, B positive and replications at least 1;
+    errors name the path and line.
+    """
+    names = SUMMARY_HEADER.split(",")
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -656,17 +641,20 @@ def parse_summary_csv(path: str) -> list[SummaryRow]:
             if not line:
                 continue
             parts = line.split(",")
+            where = f"{path}: line {lineno}"
             if len(parts) != 7:
-                raise ValueError(f"{path}: line {lineno}: expected 7 fields")
-            rows.append(
-                SummaryRow(
-                    policy=parts[0],
-                    budget=float(parts[1]),
-                    replications=int(parts[2]),
-                    mean_regret=float(parts[3]),
-                    stderr_regret=float(parts[4]),
-                    mean_tau=float(parts[5]),
-                    mean_total_cost=float(parts[6]),
-                )
-            )
+                raise ValueError(f"{where}: expected 7 fields")
+            try:
+                values = [parts[0], float(parts[1]), int(parts[2]), *map(float, parts[3:])]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            for name, value in zip(names, values):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{where}: {name} must be finite, got {value}")
+            row = SummaryRow(*values)
+            if not row.budget > 0.0:
+                raise ValueError(f"{where}: B must be positive, got {row.budget}")
+            if row.replications < 1:
+                raise ValueError(f"{where}: replications must be >= 1, got {row.replications}")
+            rows.append(row)
     return rows

@@ -19,7 +19,6 @@ from bwklab.environments import (
     big_cost_trap_matrix,
     hidden_best_arm_instance,
     random_matrix_spec,
-    stochastic_step,
 )
 from bwklab.evaluation import (
     adversarial_regret,
@@ -321,12 +320,12 @@ def test_c09_hidden_best_arm_construction():
         assert spec.cost_dists[arm] == PointMass(0.25)
     rng = RngStream(BASE_SEED, 2)
     n = 100_000
-    draws = [stochastic_step(spec, star, rng) for _ in range(n)]
+    draws = [spec.step(1, star, rng) for _ in range(n)]
     mean = sum(o.reward for o in draws) / n
     assert abs(mean - (0.5 + eps)) < 0.01
     assert all(o.cost == 0.25 for o in draws)
     other = (star + 1) % 4
-    mean_other = sum(stochastic_step(spec, other, rng).reward for _ in range(n)) / n
+    mean_other = sum(spec.step(1, other, rng).reward for _ in range(n)) / n
     assert abs(mean_other - 0.5) < 0.01
     _report(9, "hidden-best-arm construction", f"eps {eps:.3f}, empirical means within 0.01")
 

@@ -47,10 +47,15 @@ def require_simplex(probs: Iterable[float], tol: float = 1e-9) -> None:
         raise ValueError(f"probabilities sum to {s}, not 1")
 
 
+def add(acc: ExactSum, x: float) -> None:
+    """Unconditional add: no sum exceeds an infinite limit, so every term is taken."""
+    acc.add_if_within(x, math.inf)
+
+
 def peek_add(acc: ExactSum, x: float) -> float:
     """Value ``acc`` would have after adding ``x``, without committing."""
     trial = copy.copy(acc)
-    trial.add(x)
+    add(trial, x)
     return trial.value
 
 
@@ -186,7 +191,7 @@ class TestExactSum:
         values = list(rng.uniform(0.01, 1.0, size=500))
         acc = ExactSum()
         for v in values:
-            acc.add(v)
+            add(acc, v)
         assert acc.value == math.fsum(values)
 
     def test_add_if_within_boundary(self):
@@ -220,7 +225,7 @@ class TestExactSum:
         accepted = []
         for bounded, x, limit in ops:
             if not bounded:
-                acc.add(x)
+                add(acc, x)
                 accepted.append(x)
             elif acc.add_if_within(x, limit):
                 accepted.append(x)
@@ -228,7 +233,7 @@ class TestExactSum:
 
     def test_peek_does_not_commit(self):
         acc = ExactSum()
-        acc.add(0.5)
+        add(acc, 0.5)
         assert peek_add(acc, 0.25) == 0.75
         assert acc.value == 0.5
 

@@ -1,5 +1,6 @@
 """Environments: distributions, specs, step operations, generators, files."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,13 +12,11 @@ from bwklab.environments import (
     ScaledBernoulli,
     StochasticEnvSpec,
     UniformOn,
-    adversarial_step,
     big_cost_trap_matrix,
     hidden_best_arm_instance,
     load_matrix_csv,
     random_matrix_spec,
     save_matrix_csv,
-    stochastic_step,
     true_efficiency,
 )
 
@@ -86,7 +85,7 @@ class TestStochasticSpec:
         spec = make_stochastic([(PointMass(0.5), PointMass(1.0))], cost_min=1.0)
         rng = RngStream(0)
         for _ in range(5):
-            out = stochastic_step(spec, 0, rng)
+            out = spec.step(1, 0, rng)
             assert (out.reward, out.cost) == (0.5, 1.0)
 
     def test_bernoulli_law_of_large_numbers(self):
@@ -95,21 +94,21 @@ class TestStochasticSpec:
         )
         rng = RngStream(2024)
         n = 100_000
-        mean = sum(stochastic_step(spec, 0, rng).reward for _ in range(n)) / n
+        mean = sum(spec.step(1, 0, rng).reward for _ in range(n)) / n
         assert abs(mean - 0.7) < 0.01
 
     def test_deterministic_replay(self):
         spec = make_stochastic(
             [(UniformOn(0.0, 1.0), UniformOn(0.3, 0.9))], cost_min=0.3, cost_max=0.9
         )
-        a = [stochastic_step(spec, 0, RngStream(5, i)) for i in range(4)]
-        b = [stochastic_step(spec, 0, RngStream(5, i)) for i in range(4)]
+        a = [spec.step(1, 0, RngStream(5, i)) for i in range(4)]
+        b = [spec.step(1, 0, RngStream(5, i)) for i in range(4)]
         assert a == b
 
     def test_arm_out_of_range(self):
         spec = make_stochastic([(PointMass(0.5), PointMass(0.5))], cost_min=0.5)
         with pytest.raises(ValueError, match="out of range"):
-            stochastic_step(spec, 1, RngStream(0))
+            spec.step(1, 1, RngStream(0))
 
 
 class TestAdversarialSpec:
@@ -125,18 +124,18 @@ class TestAdversarialSpec:
 
     def test_lookup(self):
         spec = self.make()
-        assert adversarial_step(spec, 3, 1) == adversarial_step(spec, 3, 1)
-        out = adversarial_step(spec, 3, 1)
+        assert spec.step(3, 1) == spec.step(3, 1)
+        out = spec.step(3, 1)
         assert (out.reward, out.cost) == (0.4, 0.5)
 
     def test_bounds_errors(self):
         spec = self.make()
         with pytest.raises(ValueError, match="out of range"):
-            adversarial_step(spec, 6, 0)
+            spec.step(6, 0)
         with pytest.raises(ValueError, match="out of range"):
-            adversarial_step(spec, 0, 0)
+            spec.step(0, 0)
         with pytest.raises(ValueError, match="out of range"):
-            adversarial_step(spec, 1, 3)
+            spec.step(1, 3)
 
     def test_matrices_are_frozen(self):
         spec = self.make()
@@ -233,7 +232,7 @@ class TestHiddenBestArm:
         rng = RngStream(9)
         n = 20_000
         for arm in range(3):
-            mean = sum(stochastic_step(spec, arm, rng).reward for _ in range(n)) / n
+            mean = sum(spec.step(1, arm, rng).reward for _ in range(n)) / n
             target = 0.5 + eps if arm == spec.optimal_arm else 0.5
             assert abs(mean - target) < 0.015
 
@@ -355,4 +354,15 @@ class TestMatrixCsv:
             load_matrix_csv(str(path), budget=1.0)
         path.write_text("t,arm,reward,cost\n1,0,0.5,1.0\n2,0,0.5,1.0\n2,1,0.5,1.0\n")
         with pytest.raises(ValueError, match="grid"):
+            load_matrix_csv(str(path), budget=1.0)
+
+    @pytest.mark.parametrize(
+        "row", ["2,1,0.5,nan", "2,1,inf,1.0"], ids=["nan_cost", "inf_reward"]
+    )
+    def test_non_finite_cell_names_its_line(self, tmp_path, row):
+        # No cost bounds given, so they would be derived from the data.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,arm,reward,cost\n1,0,0.5,1.0\n1,1,0.5,1.0\n2,0,0.5,1.0\n{row}\n")
+        message = f"{path}: line 5: reward and cost must be finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_matrix_csv(str(path), budget=1.0)

@@ -16,6 +16,7 @@ from bwklab.environments import (
 from bwklab.evaluation import (
     RegretMode,
     RegretReport,
+    RegretSummary,
     adversarial_regret,
     aggregate_regret,
     brute_force_optimal_gain,
@@ -266,8 +267,16 @@ class TestAggregateRegret:
     def r(self, value):
         return RegretReport(mode=RegretMode.ADVERSARIAL, reward_sum_regret=value)
 
+    def test_report_needs_its_primary_figure(self):
+        with pytest.raises(ValueError, match="reward_sum_regret"):
+            RegretReport(mode=RegretMode.ADVERSARIAL, pseudo_regret=1.0)
+        with pytest.raises(ValueError, match="pseudo_regret"):
+            RegretReport(mode=RegretMode.STOCHASTIC, reward_sum_regret=1.0, z_value=1.0)
+        assert RegretReport(mode=RegretMode.STOCHASTIC, pseudo_regret=0.0).primary_regret == 0.0
+
     def test_single_report(self):
         agg = aggregate_regret([self.r(2.5)])
+        assert isinstance(agg, RegretSummary)
         assert agg.mean_regret == 2.5
         assert agg.stderr_regret == 0.0
         assert agg.n_episodes == 1

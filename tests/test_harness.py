@@ -286,6 +286,31 @@ class TestFitLoglogSlope:
         assert main(["slope", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("exp3bwk,1000,2,inf,0.1,50,99", "mean_regret must be finite, got inf"),
+            ("exp3bwk,1000,2,nan,0.1,50,99", "mean_regret must be finite, got nan"),
+            ("exp3bwk,1000,2,3,0.1,nan,99", "mean_tau must be finite, got nan"),
+            ("exp3bwk,0,2,3,0.1,50,99", "B must be positive, got 0.0"),
+            ("exp3bwk,-10,2,3,0.1,50,99", "B must be positive, got -10.0"),
+            ("exp3bwk,1000,0,3,0.1,50,99", "replications must be >= 1, got 0"),
+            ("exp3bwk,1000,2,three,0.1,50,99", "could not convert"),
+        ],
+        ids=["inf_regret", "nan_regret", "nan_tau", "zero_budget", "negative_budget",
+             "no_replications", "not_a_number"],
+    )
+    def test_slope_rejects_bad_summary_values(self, tmp_path, capsys, row, message):
+        from bwklab.cli import main
+
+        path = tmp_path / "s_summary.csv"
+        good = ["exp3bwk,10,2,1,0.1,5,9", "exp3bwk,100,2,3,0.1,50,99"]
+        path.write_text("\n".join([SUMMARY_HEADER, *good, row]) + "\n")
+        assert main(["slope", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 4: ")
+        assert message in err
+
     def test_too_few_points_is_error(self):
         with pytest.raises(ValueError, match="at least 3"):
             fit_loglog_slope([(10.0, 1.0), (20.0, 2.0)])
@@ -378,7 +403,7 @@ class TestCli:
         assert self.run_cli(tmp_path, nan_cost, "--threads", threads) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: episode failed (B=1.0, replication=0, seed=7)")
-        assert "ValueError: matrix rewards and costs must be finite" in err
+        assert f"ValueError: {path}: line 2: reward and cost must be finite" in err
 
     def test_run_slope_genenv(self, tmp_path, capsys):
         from bwklab.cli import main

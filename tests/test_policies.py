@@ -361,7 +361,7 @@ class TestBaselines:
     def test_uniform_mean_reward_on_hidden_instance(self):
         # Linearity of expectation: one arm pays 0.5 + eps, the rest 0.5,
         # so uniform play earns 0.5 + eps/K per round on average.
-        from bwklab.environments import hidden_best_arm_instance, stochastic_step
+        from bwklab.environments import hidden_best_arm_instance
 
         p = params(n_arms=4, budget=2000.0, cost_min=0.25)
         spec = hidden_best_arm_instance(p, RngStream(55))
@@ -371,7 +371,7 @@ class TestBaselines:
         total, n = 0.0, 0
         while not pol.terminated and pol.remaining_budget > 0:
             arm, probs = pol.select(stream)
-            out = stochastic_step(spec, arm, stream)
+            out = spec.step(1, arm, stream)
             if pol.update(arm, probs, out):
                 total += out.reward
                 n += 1
