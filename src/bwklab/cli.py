@@ -9,13 +9,14 @@ from .environments import StochasticEnvSpec, save_matrix_csv
 from .harness import (
     ENVIRONMENTS,
     EnvironmentConfig,
-    RunTrace,
     emit_results,
+    episode_stream_id,
     fit_loglog_slope,
     load_config,
     parse_summary_csv,
     run_experiment,
     save_env_json,
+    trace_path,
 )
 
 
@@ -31,12 +32,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     prefix = args.out or config.output
     if prefix is None:
         raise ValueError("no output prefix: pass --out or set 'output' in the config")
-    traces: list[tuple[int, RunTrace]] = []
-    hook = None
+    rows = run_experiment(config, args.threads, trace_prefix=prefix if args.emit_traces else None)
+    written = emit_results(rows, [], prefix, config)
     if args.emit_traces:
-        hook = lambda budget, rep, sid, trace: traces.append((sid, trace))
-    rows = run_experiment(config, threads=args.threads, trace_hook=hook)
-    written = emit_results(rows, traces, prefix, config)
+        written += [
+            trace_path(prefix, episode_stream_id(budget, rep))
+            for budget in config.budgets
+            for rep in range(config.replications)
+        ]
     for path in written:
         print(path)
     return 0

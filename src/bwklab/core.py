@@ -76,7 +76,7 @@ class RoundColumns:
 
     A round costs five array slots plus one per arm, against an object per
     round for records. Probability vectors are stored flat, ``width`` values
-    per round. Arrays pickle as raw buffers, so workers return them cheaply.
+    per round, so round ``i``'s vector is ``probs[i * width : (i + 1) * width]``.
     """
 
     __slots__ = ("t", "arm", "reward", "cost", "budget_after", "probs")
@@ -122,16 +122,6 @@ class RoundColumns:
         """Probabilities per round (the arm count); 0 with no rounds."""
         return len(self.probs) // len(self.t) if self.t else 0
 
-    def records(self) -> tuple[RoundRecord, ...]:
-        k = self.width
-        p = self.probs
-        return tuple(
-            RoundRecord(t, arm, tuple(p[i * k : (i + 1) * k]), Outcome(reward, cost), left)
-            for i, (t, arm, reward, cost, left) in enumerate(
-                zip(self.t, self.arm, self.reward, self.cost, self.budget_after)
-            )
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoundColumns):
             return NotImplemented
@@ -173,11 +163,6 @@ class RunTrace:
         aborted_pull: tuple[int, Outcome] | None = None,
     ) -> "RunTrace":
         return cls(budget, RoundColumns.of(rounds), terminated_by, aborted_pull)
-
-    @property
-    def rounds(self) -> tuple[RoundRecord, ...]:
-        """The paid rounds as records, built on each access."""
-        return self.columns.records()
 
     def pull_counts(self, n_arms: int) -> list[int]:
         return [self.columns.arm.count(i) for i in range(n_arms)]

@@ -457,55 +457,55 @@ def instance_stream_id(budget: float, replication: int) -> int:
 
 
 class EpisodeResult(NamedTuple):
-    """What a worker returns for one episode; ``trace`` only when asked for."""
+    """What a worker returns for one episode: what the reduction reads."""
 
-    budget: float
-    replication: int
     report: RegretReport
     tau: int
     total_cost: float
-    trace: RunTrace | None
 
 
-def _episode_task(args: tuple[ExperimentConfig, float, int, bool]) -> EpisodeResult:
-    """Build the episode's environment, run it and score its regret."""
-    config, budget, replication, keep_trace = args
+def _episode_task(args: tuple[ExperimentConfig, float, int, str | None]) -> EpisodeResult:
+    """Build the episode's environment, run it, score its regret and, given a prefix,
+    write its trace."""
+    config, budget, replication, trace_prefix = args
     if config.environment.mode is RegretMode.STOCHASTIC:
         regret = stochastic_regret_report
     else:
         regret = adversarial_regret
+    sid = episode_stream_id(budget, replication)
     try:
         env_rng = RngStream(config.base_seed, instance_stream_id(budget, replication))
         spec = config.environment.build(budget, env_rng)
-        sid = episode_stream_id(budget, replication)
         trace = run_episode(config.policy, spec, budget, config.base_seed, sid)
+        if trace.terminated_by is TerminationReason.HORIZON_CAP:
+            raise RuntimeError(f"horizon cap of {trace.tau} rounds reached: a cost below cost_min")
         report = regret(trace, spec)
     except Exception as exc:
         raise RuntimeError(
             f"episode failed (B={budget}, replication={replication}, "
             f"seed={config.base_seed}): {type(exc).__name__}: {exc}"
         ) from exc
-    return EpisodeResult(
-        budget, replication, report, trace.tau, trace.total_cost, trace if keep_trace else None
-    )
+    if trace_prefix is not None:
+        write_trace(trace, trace_prefix, sid)
+    return EpisodeResult(report, trace.tau, trace.total_cost)
 
 
 def run_experiment(
     config: ExperimentConfig,
     threads: int = 1,
-    trace_hook: Callable[[float, int, int, RunTrace], None] | None = None,
+    trace_prefix: str | None = None,
 ) -> list[SummaryRow]:
     """Run the full budget sweep and aggregate one summary row per budget.
 
     ``threads`` > 1 runs episodes on a process pool; rows are reduced in
     (budget, replication) order either way, so results are byte-identical
-    regardless of parallelism. ``trace_hook(budget, rep, stream_id, trace)``,
-    if given, receives every episode's trace in that same order; the traces
-    are recorded by the worker that ran the episode, so none runs twice.
+    regardless of parallelism. Given ``trace_prefix``, the worker that runs
+    an episode also writes its trace file (``write_trace``); a trace depends
+    only on its episode, so neither its bytes nor its file name depend on
+    the worker count.
     """
-    keep_traces = trace_hook is not None
     tasks = [
-        (config, budget, rep, keep_traces)
+        (config, budget, rep, trace_prefix)
         for budget in config.budgets
         for rep in range(config.replications)
     ]
@@ -531,10 +531,6 @@ def run_experiment(
                 mean_total_cost=math.fsum(r.total_cost for r in chunk) / n,
             )
         )
-    if trace_hook is not None:
-        for r in results:
-            sid = episode_stream_id(r.budget, r.replication)
-            trace_hook(r.budget, r.replication, sid, r.trace)
     return rows
 
 
@@ -546,9 +542,13 @@ def run_experiment(
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
     """OLS slope of ln(regret) against ln(budget).
 
-    Nonpositive regret points cannot enter a log fit; they are dropped with
-    a warning, and fewer than three survivors is an error.
+    Budgets must be finite and positive, and regrets finite. Nonpositive
+    regret points cannot enter a log fit; they are dropped with a warning,
+    and fewer than three survivors is an error.
     """
+    for b, r in points:
+        if not (0.0 < b < math.inf and math.isfinite(r)):
+            raise ValueError(f"log-log fit needs 0 < B < inf and a finite regret, got ({b}, {r})")
     kept = [(b, r) for b, r in points if r > 0.0]
     if len(kept) < len(points):
         warnings.warn(
@@ -570,6 +570,27 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")
+
+
+def trace_path(prefix: str, stream_id: int) -> str:
+    """The file that holds the trace of the episode with ``stream_id``."""
+    return f"{prefix}_trace_{stream_id}.csv"
+
+
+def write_trace(trace: RunTrace, prefix: str, stream_id: int) -> str:
+    """Write the trace of episode ``stream_id`` (floats at 12 significant digits)."""
+    path = trace_path(prefix, stream_id)
+    cols = trace.columns
+    k = cols.width
+    with open(path, "w", newline="") as fh:
+        fh.write(TRACE_HEADER + "\n")
+        fh.writelines(
+            f"{t},{arm},{reward:.12g},{cost:.12g},{left:.12g},{cols.probs[i * k + arm]:.12g}\n"
+            for i, (t, arm, reward, cost, left) in enumerate(
+                zip(cols.t, cols.arm, cols.reward, cols.cost, cols.budget_after)
+            )
+        )
+    return path
 
 
 def emit_results(
@@ -609,18 +630,7 @@ def emit_results(
     written.append(config_path)
 
     for stream_id, trace in traces:
-        trace_path = f"{output_prefix}_trace_{stream_id}.csv"
-        cols = trace.columns
-        k = cols.width
-        with open(trace_path, "w", newline="") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            fh.writelines(
-                f"{t},{arm},{reward:.12g},{cost:.12g},{left:.12g},{cols.probs[i * k + arm]:.12g}\n"
-                for i, (t, arm, reward, cost, left) in enumerate(
-                    zip(cols.t, cols.arm, cols.reward, cols.cost, cols.budget_after)
-                )
-            )
-        written.append(trace_path)
+        written.append(write_trace(trace, output_prefix, stream_id))
     return written
 
 

@@ -283,11 +283,27 @@ class TestRunTrace:
         RoundRecord(2, 0, (0.3, 0.6, 0.1), Outcome(0.0, 0.25), 1.25),
     )
 
+    # ROUNDS as columns, the probability vectors stored flat.
+    COLUMNS = {
+        "t": [1, 2],
+        "arm": [1, 0],
+        "reward": [0.75, 0.0],
+        "cost": [0.5, 0.25],
+        "budget_after": [1.5, 1.25],
+        "probs": [0.2, 0.7, 0.1, 0.3, 0.6, 0.1],
+    }
+
+    @classmethod
+    def columns_of(cls, trace):
+        return {f: list(getattr(trace.columns, f)) for f in cls.COLUMNS}
+
     def test_rounds_are_rebuilt_equal(self):
         aborted = (2, Outcome(1.0, 2.0))
         trace = RunTrace.build(2.0, self.ROUNDS, TerminationReason.BUDGET_EXHAUSTED, aborted)
-        assert trace.rounds == self.ROUNDS
-        assert RunTrace.build(1.0, [], TerminationReason.HORIZON_CAP).rounds == ()
+        assert self.columns_of(trace) == self.COLUMNS
+        assert trace.columns.width == 3
+        empty = RunTrace.build(1.0, [], TerminationReason.HORIZON_CAP)
+        assert len(empty.columns) == 0 and empty.columns.width == 0
 
     def test_unequal_probability_widths_rejected(self):
         rounds = [self.ROUNDS[0], RoundRecord(2, 0, (1.0, 0.0), Outcome(0.0, 0.25), 1.25)]
@@ -299,7 +315,7 @@ class TestRunTrace:
         trace = RunTrace.build(2.0, self.ROUNDS, TerminationReason.BUDGET_EXHAUSTED, aborted)
         back = pickle.loads(pickle.dumps(trace))
         assert back == trace
-        assert back.rounds == self.ROUNDS
+        assert self.columns_of(back) == self.COLUMNS
         assert (back.tau, back.total_reward, back.total_cost) == (2, 0.75, 0.75)
 
 

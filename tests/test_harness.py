@@ -6,14 +6,21 @@ import os
 
 import pytest
 
-from bwklab.core import InstanceParams, RngStream, TerminationReason
-from bwklab.environments import big_cost_trap_matrix, random_matrix_spec, save_matrix_csv
+from bwklab.core import InstanceParams, Outcome, RngStream, TerminationReason
+from bwklab.environments import (
+    StochasticEnvSpec,
+    big_cost_trap_matrix,
+    random_matrix_spec,
+    save_matrix_csv,
+)
 from bwklab.harness import (
     SUMMARY_HEADER,
+    EnvironmentConfig,
     PolicyConfig,
     emit_results,
     episode_stream_id,
     fit_loglog_slope,
+    instance_stream_id,
     parse_config,
     parse_summary_csv,
     run_episode,
@@ -146,7 +153,22 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"B=1.0, replication=0"):
             run_experiment(parse_config(doc))
 
-    def test_traces_come_from_the_one_run_of_each_episode(self, monkeypatch):
+    def test_horizon_cap_is_an_episode_error(self, monkeypatch):
+        # every cost is at least cost_min > 0, so a run to the cap is a bug
+        class ZeroCostSpec(StochasticEnvSpec):
+            def step(self, t, arm, rng):
+                return Outcome(super().step(t, arm, rng).reward, 0.0)
+
+        build = EnvironmentConfig.build
+        monkeypatch.setattr(
+            EnvironmentConfig, "build", lambda self, *args: ZeroCostSpec(**vars(build(self, *args)))
+        )
+        with pytest.raises(
+            RuntimeError, match=r"B=20.0, replication=0, seed=7\): RuntimeError: horizon cap of 41"
+        ):
+            run_experiment(parse_config(config_doc(policy={"name": "fixed_arm", "arm": 0})))
+
+    def test_traces_come_from_the_one_run_of_each_episode(self, monkeypatch, tmp_path):
         from bwklab import harness
 
         calls = []
@@ -158,22 +180,12 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "run_episode", counted)
         cfg = parse_config(config_doc(replications=2))
-        traces = []
-        run_experiment(cfg, trace_hook=lambda b, rep, sid, tr: traces.append((sid, tr)))
-        assert calls == [sid for sid, _ in traces]
-        assert len(set(calls)) == 4
-        assert all(tr.tau > 0 for _, tr in traces)
-
-    def test_trace_hook_replays_in_order(self):
-        cfg = parse_config(config_doc(replications=2))
-        seen = []
-        run_experiment(cfg, trace_hook=lambda b, rep, sid, tr: seen.append((b, rep, sid)))
-        assert seen == [
-            (20.0, 0, episode_stream_id(20.0, 0)),
-            (20.0, 1, episode_stream_id(20.0, 1)),
-            (40.0, 0, episode_stream_id(40.0, 0)),
-            (40.0, 1, episode_stream_id(40.0, 1)),
-        ]
+        run_experiment(cfg, trace_prefix=str(tmp_path / "t"))
+        sids = [episode_stream_id(b, rep) for b in (20.0, 40.0) for rep in (0, 1)]
+        assert calls == sids
+        assert sorted(os.listdir(tmp_path)) == sorted(f"t_trace_{sid}.csv" for sid in sids)
+        for sid in sids:
+            assert len((tmp_path / f"t_trace_{sid}.csv").read_text().splitlines()) > 1
 
 
 class TestConfigParsing:
@@ -269,6 +281,16 @@ class TestFitLoglogSlope:
         scaled = [(b, 500.0 * r) for b, r in points]
         assert fit_loglog_slope(scaled) == pytest.approx(fit_loglog_slope(points))
 
+    @pytest.mark.parametrize(
+        "point",
+        [(10.0, math.nan), (10.0, math.inf), (0.0, 1.0), (math.inf, 1.0)],
+        ids=["nan_regret", "inf_regret", "zero_budget", "inf_budget"],
+    )
+    def test_non_finite_or_nonpositive_budget_points_rejected(self, point):
+        points = [point, (100.0, 10.0), (1000.0, 31.6), (10000.0, 100.0)]
+        with pytest.raises(ValueError, match=r"needs 0 < B < inf and a finite regret, got \("):
+            fit_loglog_slope(points)
+
     def test_nonpositive_points_dropped_with_warning(self):
         points = [(10.0, -1.0), (100.0, 10.0), (1000.0, 31.6), (10000.0, 100.0)]
         with pytest.warns(UserWarning, match="nonpositive"):
@@ -345,18 +367,40 @@ class TestEmitResults:
         assert (tmp_path / "a_summary.csv").read_bytes() == (tmp_path / "b_summary.csv").read_bytes()
         assert (tmp_path / "a_config.json").read_bytes() == (tmp_path / "b_config.json").read_bytes()
 
+    @staticmethod
+    def direct_episode(cfg, budget, rep):
+        """One episode of ``cfg`` run directly: (stream id, trace)."""
+        env_rng = RngStream(cfg.base_seed, instance_stream_id(budget, rep))
+        spec = cfg.environment.build(budget, env_rng)
+        sid = episode_stream_id(budget, rep)
+        return sid, run_episode(cfg.policy, spec, budget, cfg.base_seed, sid)
+
     def test_trace_emission(self, tmp_path):
         cfg = parse_config(config_doc(replications=1, budgets=[10]))
-        traces = []
-        rows = run_experiment(
-            cfg, trace_hook=lambda b, rep, sid, tr: traces.append((sid, tr))
-        )
+        rows = run_experiment(cfg)
+        sid, trace = self.direct_episode(cfg, 10.0, 0)
         prefix = str(tmp_path / "t")
-        written = emit_results(rows, traces, prefix, cfg)
-        assert len(written) == 3
-        lines = open(written[2]).read().splitlines()
+        written = emit_results(rows, [(sid, trace)], prefix, cfg)
+        assert written[2] == f"{prefix}_trace_{sid}.csv"
+        with open(written[2]) as fh:
+            lines = fh.read().splitlines()
         assert lines[0] == "t,arm,reward,cost,budget_after,prob_selected"
-        assert len(lines) == 1 + traces[0][1].tau
+        assert len(lines) == 1 + len(trace.columns)
+        cols = trace.columns
+        i = len(cols) - 1
+        arm = cols.arm[i]
+        prob = cols.probs[i * cols.width + arm]
+        floats = (cols.reward[i], cols.cost[i], cols.budget_after[i], prob)
+        assert lines[-1] == ",".join([str(cols.t[i]), str(arm), *(f"{x:.12g}" for x in floats)])
+
+    def test_worker_trace_matches_emitted_trace(self, tmp_path):
+        cfg = parse_config(config_doc(replications=2, budgets=[10]))
+        run_experiment(cfg, threads=2, trace_prefix=str(tmp_path / "run"))
+        for rep in range(2):
+            sid, trace = self.direct_episode(cfg, 10.0, rep)
+            _, _, path = emit_results([], [(sid, trace)], str(tmp_path / "direct"), cfg)
+            with open(path, "rb") as fh:
+                assert fh.read() == (tmp_path / f"run_trace_{sid}.csv").read_bytes()
 
 
 class TestCli:
@@ -379,6 +423,17 @@ class TestCli:
         assert self.run_cli(tmp_path, doc, "--emit-traces", "--threads", threads) == 0
         pooled = {p: open(p, "rb").read() for p in capsys.readouterr().out.split()}
         assert pooled == serial
+
+    def test_trace_paths_print_in_episode_order(self, tmp_path, capsys):
+        doc = config_doc(replications=2)
+        assert self.run_cli(tmp_path, doc, "--emit-traces", "--threads", "2") == 0
+        prefix = tmp_path / "o"
+        sids = [episode_stream_id(b, rep) for b in (20.0, 40.0) for rep in (0, 1)]
+        assert capsys.readouterr().out.split() == [
+            f"{prefix}_summary.csv",
+            f"{prefix}_config.json",
+            *(f"{prefix}_trace_{sid}.csv" for sid in sids),
+        ]
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
