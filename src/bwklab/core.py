@@ -89,15 +89,6 @@ class RoundColumns:
         self.budget_after = array("d")
         self.probs = array("d")
 
-    @classmethod
-    def of(cls, rounds: Iterable[RoundRecord]) -> "RoundColumns":
-        cols = cls()
-        for r in rounds:
-            if cols.t and len(r.probs) != cols.width:
-                raise ValueError("rounds of one episode must have equal-length probs")
-            cols.append(r.t, r.arm, r.probs, r.outcome.reward, r.outcome.cost, r.budget_after)
-        return cols
-
     def append(
         self,
         t: int,
@@ -162,7 +153,12 @@ class RunTrace:
         terminated_by: TerminationReason,
         aborted_pull: tuple[int, Outcome] | None = None,
     ) -> "RunTrace":
-        return cls(budget, RoundColumns.of(rounds), terminated_by, aborted_pull)
+        cols = RoundColumns()
+        for r in rounds:
+            if cols.t and len(r.probs) != cols.width:
+                raise ValueError("rounds of one episode must have equal-length probs")
+            cols.append(r.t, r.arm, r.probs, r.outcome.reward, r.outcome.cost, r.budget_after)
+        return cls(budget, cols, terminated_by, aborted_pull)
 
     def pull_counts(self, n_arms: int) -> list[int]:
         return [self.columns.arm.count(i) for i in range(n_arms)]

@@ -124,12 +124,6 @@ class StochasticEnvSpec:
             if not self.params.cost_min <= lo <= hi <= self.params.cost_max:
                 raise ValueError("cost support must lie inside [cost_min, cost_max]")
 
-    def reward_mean(self, arm: int) -> float:
-        return self.reward_dists[arm].mean
-
-    def cost_mean(self, arm: int) -> float:
-        return self.cost_dists[arm].mean
-
     def step(self, t: int, arm: int, rng: RngStream) -> Outcome:
         """One independent (reward, cost) draw for ``arm``; i.i.d. draws do
         not depend on the round ``t``.
@@ -198,7 +192,7 @@ def true_efficiency(spec: StochasticEnvSpec, arm: int) -> float:
     """Mean reward per unit mean cost for one arm, in closed form."""
     if not 0 <= arm < spec.params.n_arms:
         raise ValueError(f"arm {arm} out of range")
-    return spec.reward_mean(arm) / spec.cost_mean(arm)
+    return spec.reward_dists[arm].mean / spec.cost_dists[arm].mean
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, NamedTuple, Sequence, Union
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
 
 from .core import (
     InstanceParams,
@@ -95,20 +96,15 @@ class Kind(NamedTuple):
 # --- strict JSON parsing (typos in experiment configs must not pass silently)
 
 
-def _take(d: dict, where: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
-    unknown = set(d) - set(required) - set(optional)
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ValueError(f"{where}: missing keys {missing}")
-    return d
-
-
 def _complete(fields: Sequence[Field], values: dict, where: str, tag: Sequence[str] = ()) -> dict:
     """Check the keys of ``values`` (plus ``tag``) and fill in every default."""
-    required = [f.key for f in fields if f.default is REQUIRED]
-    _take(values, where, [*tag, *required], [f.key for f in fields])
+    required = [*tag, *(f.key for f in fields if f.default is REQUIRED)]
+    unknown = set(values) - set(required) - {f.key for f in fields}
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [k for k in required if k not in values]
+    if missing:
+        raise ValueError(f"{where}: missing keys {missing}")
     return {f.key: values.get(f.key, f.default) for f in fields}
 
 
@@ -422,8 +418,9 @@ def run_episode(
 ) -> RunTrace:
     """Drive one select/observe/update loop to termination.
 
-    The policy and the environment share one rng stream; the round counter
-    and a hard horizon cap bound the loop even against misbehaving inputs.
+    The policy and the environment share one rng stream. Reaching
+    ``params.horizon_cap()`` raises RuntimeError: only an environment that
+    charges less than ``cost_min`` gets there.
     """
     params = env_spec.params
     if params.budget != budget:
@@ -433,17 +430,15 @@ def run_episode(
     cap = params.horizon_cap()
     columns = RoundColumns()
     record = columns.append
-    reason = TerminationReason.BUDGET_EXHAUSTED
     while not policy.terminated and policy.remaining_budget > 0.0:
         if policy.t > cap:
-            reason = TerminationReason.HORIZON_CAP
-            break
+            raise RuntimeError(f"horizon cap of {cap} rounds reached: a cost below cost_min")
         t = policy.t
         arm, probs = policy.select(rng)
         outcome = env_spec.step(t, arm, rng)
         if policy.update(arm, probs, outcome):
             record(t, arm, probs, outcome.reward, outcome.cost, policy.remaining_budget)
-    return RunTrace(budget, columns, reason, policy.aborted_pull)
+    return RunTrace(budget, columns, TerminationReason.BUDGET_EXHAUSTED, policy.aborted_pull)
 
 
 def episode_stream_id(budget: float, replication: int) -> int:
@@ -464,6 +459,24 @@ class EpisodeResult(NamedTuple):
     total_cost: float
 
 
+@contextmanager
+def _episode_errors(config: ExperimentConfig, budget: float, replication: int) -> Iterator[None]:
+    """Re-raise any error as a RuntimeError naming the episode and its cause."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(
+            f"episode failed (B={budget}, replication={replication}, "
+            f"seed={config.base_seed}): {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _episode_spec(config: ExperimentConfig, budget: float, replication: int) -> EnvSpec:
+    """The environment of one episode, drawn from its own instance stream."""
+    env_rng = RngStream(config.base_seed, instance_stream_id(budget, replication))
+    return config.environment.build(budget, env_rng)
+
+
 def _episode_task(args: tuple[ExperimentConfig, float, int, str | None]) -> EpisodeResult:
     """Build the episode's environment, run it, score its regret and, given a prefix,
     write its trace."""
@@ -473,21 +486,21 @@ def _episode_task(args: tuple[ExperimentConfig, float, int, str | None]) -> Epis
     else:
         regret = adversarial_regret
     sid = episode_stream_id(budget, replication)
-    try:
-        env_rng = RngStream(config.base_seed, instance_stream_id(budget, replication))
-        spec = config.environment.build(budget, env_rng)
+    with _episode_errors(config, budget, replication):
+        spec = _episode_spec(config, budget, replication)
         trace = run_episode(config.policy, spec, budget, config.base_seed, sid)
-        if trace.terminated_by is TerminationReason.HORIZON_CAP:
-            raise RuntimeError(f"horizon cap of {trace.tau} rounds reached: a cost below cost_min")
         report = regret(trace, spec)
-    except Exception as exc:
-        raise RuntimeError(
-            f"episode failed (B={budget}, replication={replication}, "
-            f"seed={config.base_seed}): {type(exc).__name__}: {exc}"
-        ) from exc
     if trace_prefix is not None:
         write_trace(trace, trace_prefix, sid)
     return EpisodeResult(report, trace.tau, trace.total_cost)
+
+
+def _check_config(config: ExperimentConfig) -> None:
+    """Build each budget's first environment and the policy on it, so that a
+    config the constructors reject fails before any episode runs."""
+    for budget in config.budgets:
+        with _episode_errors(config, budget, 0):
+            config.policy.build(_episode_spec(config, budget, 0).params)
 
 
 def run_experiment(
@@ -502,7 +515,7 @@ def run_experiment(
     regardless of parallelism. Given ``trace_prefix``, the worker that runs
     an episode also writes its trace file (``write_trace``); a trace depends
     only on its episode, so neither its bytes nor its file name depend on
-    the worker count.
+    the worker count. ``_check_config`` runs before any episode.
     """
     tasks = [
         (config, budget, rep, trace_prefix)
@@ -511,8 +524,12 @@ def run_experiment(
     ]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
+            # A worker runs the check, so the parent never imports numpy.random
+            # (lazy under numpy 2; with hashlib and OpenSSL, about 6 MB resident).
+            pool.submit(_check_config, config).result()
             results = list(pool.map(_episode_task, tasks, chunksize=8))
     else:
+        _check_config(config)
         results = [_episode_task(t) for t in tasks]
 
     rows = []

@@ -7,7 +7,6 @@ the spot, paying nothing and collecting nothing for that final pull.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Sequence
 
 from .core import (
@@ -19,11 +18,6 @@ from .core import (
 )
 
 _E = math.e
-
-
-class Phase(Enum):
-    INIT_SWEEP = "init_sweep"
-    MAIN = "main"
 
 
 class BudgetedPolicy:
@@ -144,8 +138,8 @@ def gap_estimates(ucb: Sequence[float], lcb: Sequence[float]) -> list[float]:
 class Exp3PPBwk(BudgetedPolicy):
     """Exponential weights with gap-adaptive per-arm exploration.
 
-    Starts with one sweep over all arms to seed empirical efficiency means,
-    then mixes a softmax over cumulative importance-weighted losses with
+    Rounds 1 to K pull every arm once, in order, to seed empirical efficiency
+    means; the round counter ``t`` alone marks the sweep. Later rounds mix a softmax over cumulative importance-weighted losses with
     per-arm exploration masses that shrink as estimated gaps separate.
     """
 
@@ -169,7 +163,6 @@ class Exp3PPBwk(BudgetedPolicy):
         if not 0.0 < self.lam <= params.cost_min:
             raise ValueError("lambda must lie in (0, cost_min]")
         k = params.n_arms
-        self.phase = Phase.INIT_SWEEP
         self.cum_loss = [0.0] * k
         self.pull_count = [0] * k
         self.reward_sum = [0.0] * k
@@ -183,7 +176,7 @@ class Exp3PPBwk(BudgetedPolicy):
         approaches lambda; at eta >= lambda the bound carries no information,
         so the clamps produce the vacuous pair (1/c_min, 0).
         """
-        if self.phase is not Phase.MAIN:
+        if self.t <= self.params.n_arms:
             raise ValueError("confidence bounds need one pull of every arm")
         c_min = self.params.cost_min
         lam = self.lam
@@ -227,7 +220,7 @@ class Exp3PPBwk(BudgetedPolicy):
         if self.terminated:
             raise ValueError("episode over")
         k = self.params.n_arms
-        if self.phase is Phase.INIT_SWEEP:
+        if self.t <= k:  # the opening sweep pulls arm t - 1 at round t
             arm = self.t - 1
             probs = [0.0] * k
             probs[arm] = 1.0
@@ -245,9 +238,7 @@ class Exp3PPBwk(BudgetedPolicy):
         self.pull_count[arm] += 1
         self.reward_sum[arm] += outcome.reward
         self.cost_sum[arm] += outcome.cost
-        if self.phase is Phase.INIT_SWEEP:
-            if self.t == self.params.n_arms:
-                self.phase = Phase.MAIN
+        if self.t <= self.params.n_arms:
             return
         p = probs[arm]
         e_hat = outcome.reward / (p * outcome.cost)

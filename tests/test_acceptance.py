@@ -34,7 +34,7 @@ from bwklab.harness import (
     run_episode,
     run_experiment,
 )
-from bwklab.policies import Exp3PPBwk, Phase, exploration_gamma, gap_estimates
+from bwklab.policies import Exp3PPBwk, exploration_gamma, gap_estimates
 
 BASE_SEED = 20260808
 
@@ -248,7 +248,7 @@ def test_c06_gap_estimate_coverage():
         rng = RngStream(BASE_SEED, seed)
         policy = Exp3PPBwk(params)
         while not policy.terminated and policy.remaining_budget > 0 and policy.t <= 5000:
-            if policy.phase is Phase.MAIN and policy.t >= 1000:
+            if policy.t >= 1000:
                 ucb, lcb = policy.confidence_bounds()
                 for i, est in enumerate(gap_estimates(ucb, lcb)):
                     total += 1
@@ -317,10 +317,10 @@ def test_c09_hidden_best_arm_construction():
     spec = hidden_best_arm_instance(params, RngStream(BASE_SEED, 1))
     eps = math.sqrt(4 * 0.25 / 400.0)
     star = spec.optimal_arm
-    assert spec.reward_mean(star) == 0.5 + eps
+    assert spec.reward_dists[star].mean == 0.5 + eps
     for arm in range(4):
         if arm != star:
-            assert spec.reward_mean(arm) == 0.5
+            assert spec.reward_dists[arm].mean == 0.5
         assert spec.cost_dists[arm] == PointMass(0.25)
     rng = RngStream(BASE_SEED, 2)
     n = 100_000

@@ -14,6 +14,7 @@ from bwklab.core import (
     InstanceParams,
     Outcome,
     RngStream,
+    RoundColumns,
     RoundRecord,
     RunTrace,
     TerminationReason,
@@ -265,25 +266,35 @@ class TestInstanceParams:
 
 
 class TestRunTrace:
+    @staticmethod
+    def appended(rows):
+        """Columns holding ``rows`` of (t, arm, probs, reward, cost, budget_after)."""
+        cols = RoundColumns()
+        for row in rows:
+            cols.append(*row)
+        return cols
+
     def test_totals_and_counts(self):
-        rounds = [
-            RoundRecord(1, 0, (1.0, 0.0), Outcome(0.5, 0.25), 0.75),
-            RoundRecord(2, 1, (0.5, 0.5), Outcome(0.0, 0.5), 0.25),
-            RoundRecord(3, 0, (1.0, 0.0), Outcome(1.0, 0.25), 0.0),
+        rows = [
+            (1, 0, (1.0, 0.0), 0.5, 0.25, 0.75),
+            (2, 1, (0.5, 0.5), 0.0, 0.5, 0.25),
+            (3, 0, (1.0, 0.0), 1.0, 0.25, 0.0),
         ]
-        trace = RunTrace.build(1.0, rounds, TerminationReason.BUDGET_EXHAUSTED)
+        trace = RunTrace(1.0, self.appended(rows), TerminationReason.BUDGET_EXHAUSTED)
         assert trace.tau == 3
         assert trace.total_reward == 1.5
         assert trace.total_cost == 1.0
         assert trace.pull_counts(2) == [2, 1]
         assert trace.efficiency_total() == pytest.approx(0.5 / 0.25 + 0.0 + 4.0)
 
-    ROUNDS = (
-        RoundRecord(1, 1, (0.2, 0.7, 0.1), Outcome(0.75, 0.5), 1.5),
-        RoundRecord(2, 0, (0.3, 0.6, 0.1), Outcome(0.0, 0.25), 1.25),
+    ROWS = (
+        (1, 1, (0.2, 0.7, 0.1), 0.75, 0.5, 1.5),
+        (2, 0, (0.3, 0.6, 0.1), 0.0, 0.25, 1.25),
     )
+    # ROWS as the records RunTrace.build takes.
+    ROUNDS = tuple(RoundRecord(t, a, p, Outcome(r, c), left) for t, a, p, r, c, left in ROWS)
 
-    # ROUNDS as columns, the probability vectors stored flat.
+    # ROWS as columns, the probability vectors stored flat.
     COLUMNS = {
         "t": [1, 2],
         "arm": [1, 0],
@@ -312,7 +323,7 @@ class TestRunTrace:
 
     def test_pickle_round_trip(self):
         aborted = (2, Outcome(1.0, 2.0))
-        trace = RunTrace.build(2.0, self.ROUNDS, TerminationReason.BUDGET_EXHAUSTED, aborted)
+        trace = RunTrace(2.0, self.appended(self.ROWS), TerminationReason.BUDGET_EXHAUSTED, aborted)
         back = pickle.loads(pickle.dumps(trace))
         assert back == trace
         assert self.columns_of(back) == self.COLUMNS

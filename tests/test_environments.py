@@ -201,10 +201,10 @@ class TestHiddenBestArm:
         assert eps == pytest.approx(0.05)
         star = spec.optimal_arm
         assert star is not None
-        assert spec.reward_mean(star) == 0.5 + eps
+        assert spec.reward_dists[star].mean == 0.5 + eps
         for i in range(4):
             if i != star:
-                assert spec.reward_mean(i) == 0.5
+                assert spec.reward_dists[i].mean == 0.5
             assert spec.cost_dists[i] == PointMass(0.25)
 
     def test_budget_too_small(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bwklab.core import InstanceParams, Outcome, RngStream, RoundRecord, RunTrace, TerminationReason
+from bwklab.core import InstanceParams, RngStream, RoundColumns, RunTrace, TerminationReason
 from bwklab.environments import (
     AdversarialMatrixSpec,
     PointMass,
@@ -40,14 +40,14 @@ def matrix(rewards, costs, budget, cost_min, cost_max=1.0):
 
 def trace_of(spec, arm_sequence, budget):
     """Hand-built trace: play the given arms, paying matrix costs."""
-    rounds = []
+    cols = RoundColumns()
     left = budget
+    k = spec.params.n_arms
     for t, arm in enumerate(arm_sequence, start=1):
-        out = Outcome(float(spec.rewards[t - 1, arm]), float(spec.costs[t - 1, arm]))
-        left -= out.cost
-        k = spec.params.n_arms
-        rounds.append(RoundRecord(t, arm, tuple([1.0 / k] * k), out, left))
-    return RunTrace.build(budget, rounds, TerminationReason.BUDGET_EXHAUSTED)
+        cost = float(spec.costs[t - 1, arm])
+        left -= cost
+        cols.append(t, arm, [1.0 / k] * k, float(spec.rewards[t - 1, arm]), cost, left)
+    return RunTrace(budget, cols, TerminationReason.BUDGET_EXHAUSTED)
 
 
 class TestHindsightFixedArms:
@@ -171,11 +171,10 @@ class TestStochasticPseudoRegret:
         )  # efficiencies 1.0 and 0.3, gaps (0, 0.7)
 
     def trace(self, arms):
-        rounds = [
-            RoundRecord(t, arm, (0.5, 0.5), Outcome(0.0, 0.5), 0.0)
-            for t, arm in enumerate(arms, start=1)
-        ]
-        return RunTrace.build(10.0, rounds, TerminationReason.BUDGET_EXHAUSTED)
+        cols = RoundColumns()
+        for t, arm in enumerate(arms, start=1):
+            cols.append(t, arm, (0.5, 0.5), 0.0, 0.5, 0.0)
+        return RunTrace(10.0, cols, TerminationReason.BUDGET_EXHAUSTED)
 
     def test_only_best_arm_gives_zero(self):
         assert stochastic_pseudo_regret(self.trace([0, 0, 0]), self.spec()) == 0.0
@@ -258,7 +257,7 @@ class TestAdversarialRegret:
 
     def test_empty_trace_is_error(self):
         spec = matrix([[0.5]], [[1.0]], budget=1.0, cost_min=1.0)
-        empty = RunTrace.build(1.0, [], TerminationReason.BUDGET_EXHAUSTED)
+        empty = RunTrace(1.0, RoundColumns(), TerminationReason.BUDGET_EXHAUSTED)
         with pytest.raises(ValueError, match="empty trace"):
             adversarial_regret(empty, spec)
 

@@ -3,6 +3,7 @@ import copy
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -97,12 +98,8 @@ class TestRunEpisode:
                 return Outcome(reward=0.0, cost=0.0)
 
         params = InstanceParams(n_arms=2, budget=3.0, cost_min=0.5)
-        trace = run_episode(
-            PolicyConfig("fixed_arm", {"arm": 0}), ZeroCostEnv(params), 3.0, 1, 1
-        )
-        assert trace.terminated_by is TerminationReason.HORIZON_CAP
-        assert trace.tau == params.horizon_cap()
-        assert trace.total_cost == 0.0
+        with pytest.raises(RuntimeError, match="horizon cap of 7 rounds"):
+            run_episode(PolicyConfig("fixed_arm", {"arm": 0}), ZeroCostEnv(params), 3.0, 1, 1)
 
 
 class TestRunExperiment:
@@ -416,12 +413,12 @@ class TestCli:
     def test_emitted_traces_do_not_depend_on_worker_count(self, tmp_path, capsys, threads):
         doc = config_doc(budgets=[10, 20], replications=5)
         assert self.run_cli(tmp_path, doc, "--emit-traces") == 0
-        serial = {p: open(p, "rb").read() for p in capsys.readouterr().out.split()}
+        serial = {p: Path(p).read_bytes() for p in capsys.readouterr().out.split()}
         assert len(serial) == 2 + 10
         for p in serial:
             os.remove(p)
         assert self.run_cli(tmp_path, doc, "--emit-traces", "--threads", threads) == 0
-        pooled = {p: open(p, "rb").read() for p in capsys.readouterr().out.split()}
+        pooled = {p: Path(p).read_bytes() for p in capsys.readouterr().out.split()}
         assert pooled == serial
 
     def test_trace_paths_print_in_episode_order(self, tmp_path, capsys):
@@ -459,6 +456,79 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: episode failed (B=1.0, replication=0, seed=7)")
         assert f"ValueError: {path}: line 2: reward and cost must be finite" in err
+
+    @staticmethod
+    def invalid_configs(tmp_path):
+        """Configs that parse but that a constructor rejects: (doc, failing B, cause)."""
+        short = tmp_path / "short.csv"  # 10 rounds: enough for B=5, too few for B=40
+        save_matrix_csv(random_matrix_spec(InstanceParams(2, 5.0, 0.5), RngStream(0)), str(short))
+        missing = tmp_path / "missing.csv"
+        arm = STOCH_ENV["arms"][0]
+        return {
+            "alpha_below_3": (
+                config_doc(policy={"name": "exp3pp_bwk", "alpha": 2}),
+                20.0, "ValueError: alpha must be at least 3",
+            ),
+            "fixed_arm_out_of_range": (
+                config_doc(policy={"name": "fixed_arm", "arm": 2}),
+                20.0, "ValueError: arm 2 out of range",
+            ),
+            "lambda_above_cost_min": (
+                config_doc(policy={"name": "exp3pp_bwk", "lambda": 0.75}),
+                20.0, "ValueError: lambda must lie in (0, cost_min]",
+            ),
+            "reward_outside_interval": (
+                config_doc(environment=dict(STOCH_ENV, arms=[
+                    dict(arm, reward={"type": "point", "value": 1.5}), arm,
+                ])),
+                20.0, "ValueError: reward support must lie inside [0, 1]",
+            ),
+            "cost_outside_interval": (
+                config_doc(environment=dict(STOCH_ENV, arms=[
+                    dict(arm, cost={"type": "uniform", "low": 0.25, "high": 0.75}), arm,
+                ])),
+                20.0, "ValueError: cost support must lie inside [cost_min, cost_max]",
+            ),
+            "hidden_best_arm_budget_too_small": (
+                config_doc(
+                    environment={"kind": "hidden_best_arm", "n_arms": 2, "cost_min": 0.5},
+                    budgets=[1, 20],
+                ),
+                1.0, "ValueError: budget too small for hidden-best-arm construction",
+            ),
+            "matrix_file_missing": (
+                config_doc(environment={"kind": "matrix_file", "path": str(missing)}),
+                20.0, f"FileNotFoundError: [Errno 2] No such file or directory: '{missing}'",
+            ),
+            "matrix_file_too_short": (
+                config_doc(
+                    environment={"kind": "matrix_file", "path": str(short), "cost_min": 0.5},
+                    budgets=[5, 40],
+                ),
+                40.0, "ValueError: horizon too short: 10 rows < ceil(B/c_min) = 80",
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "alpha_below_3", "fixed_arm_out_of_range", "lambda_above_cost_min",
+            "reward_outside_interval", "cost_outside_interval",
+            "hidden_best_arm_budget_too_small", "matrix_file_missing", "matrix_file_too_short",
+        ],
+    )
+    def test_invalid_config_fails_before_any_episode(self, tmp_path, capsys, monkeypatch, case):
+        from bwklab import harness
+
+        doc, budget, cause = self.invalid_configs(tmp_path)[case]
+        line = f"error: episode failed (B={budget}, replication=0, seed=7): {cause}\n"
+        assert self.run_cli(tmp_path, doc, "--threads", "2") == 1
+        assert capsys.readouterr().err == line
+        episodes = []
+        monkeypatch.setattr(harness, "_episode_task", episodes.append)
+        assert self.run_cli(tmp_path, doc) == 1
+        assert capsys.readouterr().err == line
+        assert episodes == []
 
     def test_run_slope_genenv(self, tmp_path, capsys):
         from bwklab.cli import main

@@ -9,7 +9,6 @@ from bwklab.policies import (
     Exp3Bwk,
     Exp3PPBwk,
     FixedArmPolicy,
-    Phase,
     UniformPolicy,
     exploration_gamma,
     gap_estimates,
@@ -164,9 +163,10 @@ class TestExp3PPSweep:
             arm, probs = pol.select(rng)
             assert arm == i
             assert probs[i] == 1.0 and sum(probs) == 1.0
-            assert pol.phase is Phase.INIT_SWEEP
+            with pytest.raises(ValueError, match="one pull of every arm"):
+                pol.confidence_bounds()
             pol.update(arm, probs, outs[i])
-        assert pol.phase is Phase.MAIN
+        pol.confidence_bounds()  # the sweep is over
         assert pol.t == 4
         assert pol.pull_count == [1, 1, 1]
         assert pol.reward_sum == [0.9, 0.1, 0.4]
