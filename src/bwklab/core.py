@@ -6,6 +6,7 @@ state, so episodes can run on parallel workers without shared mutation.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -165,7 +166,7 @@ class RunTrace:
 
     def efficiency_total(self) -> float:
         """Sum of per-round reward/cost ratios over completed rounds."""
-        return math.fsum(r / c for r, c in zip(self.columns.reward, self.columns.cost))
+        return math.fsum(map(operator.truediv, self.columns.reward, self.columns.cost))
 
 
 class RngStream:
@@ -253,10 +254,13 @@ class ExactSum:
         return out
 
     def add_if_within(self, x: float, limit: float) -> bool:
-        """Add ``x`` only if the new sum stays within ``limit``."""
+        """Add ``x`` only if the new sum stays within ``limit``.
+
+        Fails closed: a NaN term or a NaN limit is refused, and the sum is kept.
+        """
         grown = self._grown(self._partials, x)
         value = math.fsum(grown)
-        if value > limit:
+        if not value <= limit:
             return False
         self._partials = grown
         self._value = value

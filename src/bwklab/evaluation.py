@@ -7,9 +7,12 @@ the sandwich G_greedy <= G_opt <= G_greedy + max efficiency between them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from .core import ExactSum, RunTrace
 from .environments import AdversarialMatrixSpec, StochasticEnvSpec, true_efficiency
@@ -88,26 +91,36 @@ def _argmax_lowest(values: Sequence[float]) -> int:
 
 def hindsight_fixed_arms(spec: AdversarialMatrixSpec) -> HindsightReport:
     """Play every fixed arm against the matrix until its next pull is
-    unaffordable, with the same exact budget arithmetic the policies use."""
+    unaffordable, with the same exact budget arithmetic the policies use.
+
+    Arm ``a`` plays the largest ``t`` rows with ``fsum(costs[:t, a]) <= B``.
+    Costs are positive, so the exact prefix sum strictly increases and its
+    correct rounding never decreases: stepping from a float-cumsum guess
+    while ``fsum`` says so settles on that ``t`` however good the guess.
+    Every sum is ``math.fsum`` over a strided view of one column, so no
+    matrix-sized temporary is made.
+    """
     budget = spec.params.budget
     t_max = spec.t_max
     feasible: list[int] = []
     reward_sums: list[float] = []
     efficiency_sums: list[float] = []
     for arm in range(spec.params.n_arms):
-        spent = ExactSum()
-        t = 0
-        while t < t_max and spent.add_if_within(float(spec.costs[t, arm]), budget):
+        col = spec.costs[:, arm]
+        costs = memoryview(col)
+        t = int(np.searchsorted(np.cumsum(col), budget, side="right"))
+        while t > 0 and math.fsum(costs[:t]) > budget:
+            t -= 1
+        while t < t_max and math.fsum(costs[: t + 1]) <= budget:
             t += 1
-        if t == t_max and budget - spent.value >= spec.params.cost_min:
+        if t == t_max and budget - math.fsum(costs) >= spec.params.cost_min:
             raise ValueError(
                 f"horizon too short: arm {arm} can still afford pulls after row {t_max}"
             )
+        rewards = memoryview(spec.rewards[:t, arm])
         feasible.append(t)
-        reward_sums.append(math.fsum(float(r) for r in spec.rewards[:t, arm]))
-        efficiency_sums.append(
-            math.fsum(float(r) / float(c) for r, c in zip(spec.rewards[:t, arm], spec.costs[:t, arm]))
-        )
+        reward_sums.append(math.fsum(rewards))
+        efficiency_sums.append(math.fsum(map(operator.truediv, rewards, costs[:t])))
     return HindsightReport(
         feasible_rounds=tuple(feasible),
         reward_sums=tuple(reward_sums),
@@ -117,6 +130,18 @@ def hindsight_fixed_arms(spec: AdversarialMatrixSpec) -> HindsightReport:
     )
 
 
+def _check_knapsack(means: Sequence[tuple[float, float]], budget: float) -> None:
+    """Reject what would make a knapsack oracle loop forever or divide by 0."""
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be finite and positive, got {budget}")
+    for i, (mu, rho) in enumerate(means):
+        if not (math.isfinite(mu) and 0 < rho < math.inf):
+            raise ValueError(
+                f"arm {i}: need a finite mean reward and a finite positive mean cost, "
+                f"got ({mu}, {rho})"
+            )
+
+
 def greedy_oracle_gain(means: Sequence[tuple[float, float]], budget: float) -> float:
     """Expected gain of the greedy knapsack heuristic.
 
@@ -124,6 +149,7 @@ def greedy_oracle_gain(means: Sequence[tuple[float, float]], budget: float) -> f
     each as long as its mean cost still fits the remaining budget, then falls
     through to the next arm in the order.
     """
+    _check_knapsack(means, budget)
     order = sorted(
         range(len(means)), key=lambda i: (-(means[i][0] / means[i][1]), i)
     )
@@ -145,6 +171,7 @@ def brute_force_optimal_gain(
     ceil(budget / min cost) to get the unrestricted optimum. Only viable for
     tiny instances; refuses anything past ~1e6 enumeration states.
     """
+    _check_knapsack(means, budget)
     per_arm_max = [min(pull_cap, int(budget / cost) + 1) for _, cost in means]
     states = 1.0
     for m in per_arm_max:

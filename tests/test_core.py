@@ -203,6 +203,17 @@ class TestExactSum:
         assert not acc.add_if_within(1e-9, 1.0)
         assert acc.value == 1.0
 
+    @pytest.mark.parametrize("x, limit", [(math.nan, 1.0), (0.25, math.nan)])
+    def test_nan_term_or_limit_refused(self, x, limit):
+        acc = ExactSum()
+        assert acc.add_if_within(0.5, 1.0)
+        assert not acc.add_if_within(x, limit)
+        assert acc.value == 0.5
+        # the sum is intact, so the limit still binds the next term
+        assert not acc.add_if_within(5.0, 1.0)
+        assert acc.add_if_within(0.5, 1.0)
+        assert acc.value == 1.0
+
     def test_no_drift_on_repeated_tenths(self):
         # 0.1 is inexact in binary; naive accumulation admits a 11th pull.
         acc = ExactSum()

@@ -3,8 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bwklab.core import InstanceParams, RngStream, RoundColumns, RunTrace, TerminationReason
+from bwklab.core import (
+    ExactSum,
+    InstanceParams,
+    RngStream,
+    RoundColumns,
+    RunTrace,
+    TerminationReason,
+)
 from bwklab.environments import (
     AdversarialMatrixSpec,
     PointMass,
@@ -14,9 +23,11 @@ from bwklab.environments import (
     random_matrix_spec,
 )
 from bwklab.evaluation import (
+    HindsightReport,
     RegretMode,
     RegretReport,
     RegretSummary,
+    _argmax_lowest,
     adversarial_regret,
     aggregate_regret,
     brute_force_optimal_gain,
@@ -48,6 +59,83 @@ def trace_of(spec, arm_sequence, budget):
         left -= cost
         cols.append(t, arm, [1.0 / k] * k, float(spec.rewards[t - 1, arm]), cost, left)
     return RunTrace(budget, cols, TerminationReason.BUDGET_EXHAUSTED)
+
+
+def reference_hindsight(spec):
+    """The fixed-arm playout one row at a time, through the policies' ledger."""
+    budget = spec.params.budget
+    t_max = spec.t_max
+    feasible, reward_sums, efficiency_sums = [], [], []
+    for arm in range(spec.params.n_arms):
+        spent = ExactSum()
+        t = 0
+        while t < t_max and spent.add_if_within(float(spec.costs[t, arm]), budget):
+            t += 1
+        if t == t_max and budget - spent.value >= spec.params.cost_min:
+            raise ValueError(
+                f"horizon too short: arm {arm} can still afford pulls after row {t_max}"
+            )
+        feasible.append(t)
+        rewards, costs = spec.rewards[:t, arm], spec.costs[:t, arm]
+        reward_sums.append(math.fsum(float(r) for r in rewards))
+        efficiency_sums.append(math.fsum(float(r) / float(c) for r, c in zip(rewards, costs)))
+    return HindsightReport(
+        feasible_rounds=tuple(feasible),
+        reward_sums=tuple(reward_sums),
+        efficiency_sums=tuple(efficiency_sums),
+        best_reward_arm=_argmax_lowest(reward_sums),
+        best_efficiency_arm=_argmax_lowest(efficiency_sums),
+    )
+
+
+def assert_same_hindsight(spec):
+    """hindsight_fixed_arms agrees with the row loop exactly, errors included."""
+    try:
+        expected = reference_hindsight(spec)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            hindsight_fixed_arms(spec)
+        assert str(got.value) == str(err)
+        return
+    assert hindsight_fixed_arms(spec) == expected
+
+
+@st.composite
+def cost_matrices(draw):
+    """Matrices whose costs hit, graze or jump over the budget.
+
+    ``multiples``: integer multiples of cost_min, with B the exact sum of one
+    arm's prefix or one ulp off it; ``all_min``: every cost is cost_min;
+    ``uniform``: costs on [cost_min, cost_max]; ``spike``: cost_min except
+    one cost_max cell.
+    """
+    k = draw(st.integers(1, 5))
+    c_min = draw(st.sampled_from([1e-3, 0.1, 0.25, 0.5, 1.0]))
+    mode = draw(st.sampled_from(["multiples", "all_min", "uniform", "spike"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 40))
+    if mode == "multiples":
+        ints = rng.integers(1, 5, size=(rows, k))
+        c_max = c_min * 4
+        costs = c_min * ints.astype(float)
+        arm = draw(st.integers(0, k - 1))
+        budget = math.fsum(costs[: draw(st.integers(1, rows)), arm])
+        # one ulp either side of the exact sum, where a plain cumsum misjudges
+        budget = math.nextafter(budget, draw(st.sampled_from([budget, -math.inf, math.inf])))
+    else:
+        c_max = max(c_min, draw(st.sampled_from([1.0, 2.0, 3 * c_min])))
+        frac = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True))
+        budget = (draw(st.integers(1, rows)) + frac) * c_min
+        costs = np.full((rows, k), c_min)
+        if mode == "uniform":
+            costs = c_min + rng.random((rows, k)) * (c_max - c_min)
+        elif mode == "spike":
+            costs[rng.integers(rows), rng.integers(k)] = c_max
+    # pad to the horizon the spec demands, plus a few spare rows
+    t_max = max(rows, math.ceil(budget / c_min)) + draw(st.integers(0, 3))
+    costs = np.vstack([costs, np.full((t_max - rows, k), c_min)])
+    rewards = rng.random((t_max, k))
+    return matrix(rewards, costs, budget=budget, cost_min=c_min, cost_max=c_max)
 
 
 class TestHindsightFixedArms:
@@ -92,6 +180,35 @@ class TestHindsightFixedArms:
             # one more pull would break the budget
             assert spent + float(spec.costs[t, arm]) > 25.0
 
+    @pytest.mark.parametrize(
+        "budget, expected",
+        [(math.nextafter(1.0, 0.0), 9), (1.5, 15)],
+        ids=["cumsum_guess_too_high", "cumsum_guess_too_low"],
+    )
+    def test_fsum_settles_a_wrong_cumsum_guess(self, budget, expected):
+        # ten 0.1s cumsum to just under 1.0 but fsum to 1.0; fifteen cumsum
+        # to just over 1.5 but fsum to 1.5
+        spec = matrix([[0.5]] * 20, [[0.1]] * 20, budget=budget, cost_min=0.1, cost_max=0.1)
+        assert np.searchsorted(np.cumsum(spec.costs[:, 0]), budget, side="right") != expected
+        assert hindsight_fixed_arms(spec).feasible_rounds == (expected,)
+        assert_same_hindsight(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cost_matrices())
+    def test_matches_row_loop_exactly(self, spec):
+        assert_same_hindsight(spec)
+
+    @pytest.mark.parametrize("optimal_arm", [0, 1])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("budget", [100.0, 57.5])
+    def test_trap_matrix_matches_row_loop(self, budget, alpha, optimal_arm):
+        assert_same_hindsight(big_cost_trap_matrix(alpha, budget, optimal_arm=optimal_arm))
+
+    def test_random_matrices_match_row_loop(self):
+        for stream in range(10):
+            params = InstanceParams(n_arms=4, budget=200.0, cost_min=0.1)
+            assert_same_hindsight(random_matrix_spec(params, RngStream(808, stream)))
+
 
 class TestGreedyOracle:
     def test_single_arm(self):
@@ -112,6 +229,21 @@ class TestGreedyOracle:
         # equal efficiency, only one pull affordable: arm 0 must be taken
         gain = greedy_oracle_gain([(0.6, 1.0), (0.3, 0.5)], 1.0)
         assert gain == pytest.approx(0.6)
+
+    @pytest.mark.parametrize(
+        "arm",
+        [(0.5, -1.0), (0.5, math.nan), (0.5, 0.0), (0.5, math.inf), (math.nan, 0.5)],
+        ids=["negative_cost", "nan_cost", "zero_cost", "inf_cost", "nan_reward"],
+    )
+    def test_invalid_arm_rejected(self, arm):
+        # a cost below 0 or NaN never fills the budget, and 0 divides by 0
+        with pytest.raises(ValueError, match=r"arm 1: need a finite mean reward"):
+            greedy_oracle_gain([(0.9, 1.0), arm], 1.0)
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be finite and positive"):
+            greedy_oracle_gain([(0.5, 1.0)], budget)
 
 
 class TestBruteForceOracle:
@@ -140,6 +272,21 @@ class TestBruteForceOracle:
         optimal = brute_force_optimal_gain(means, budget, pull_cap=4)
         assert greedy == pytest.approx(1.0)
         assert optimal == pytest.approx(1.1)
+
+    @pytest.mark.parametrize(
+        "arm",
+        [(0.5, 0.0), (0.5, -1.0), (0.5, math.nan), (math.nan, 0.5), (math.inf, 0.5)],
+        ids=["zero_cost", "negative_cost", "nan_cost", "nan_reward", "inf_reward"],
+    )
+    def test_invalid_arm_rejected(self, arm):
+        # a NaN reward used to lose every max() and report a gain of 0
+        with pytest.raises(ValueError, match=r"arm 1: need a finite mean reward"):
+            brute_force_optimal_gain([(0.9, 1.0), arm], 1.0, 3)
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be finite and positive"):
+            brute_force_optimal_gain([(0.5, 1.0)], budget, 3)
 
     def test_too_large_instance_rejected(self):
         with pytest.raises(ValueError, match="too big"):
@@ -260,6 +407,25 @@ class TestAdversarialRegret:
         empty = RunTrace(1.0, RoundColumns(), TerminationReason.BUDGET_EXHAUSTED)
         with pytest.raises(ValueError, match="empty trace"):
             adversarial_regret(empty, spec)
+
+
+class TestEfficiencyTotal:
+    @staticmethod
+    def trace(pairs):
+        cols = RoundColumns()
+        for t, (r, c) in enumerate(pairs, start=1):
+            cols.append(t, 0, (1.0,), r, c, 0.0)
+        return RunTrace(10.0, cols, TerminationReason.BUDGET_EXHAUSTED)
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 4.0)), max_size=60))
+    def test_equals_generator_form(self, pairs):
+        trace = self.trace(pairs)
+        expected = math.fsum(r / c for r, c in zip(trace.columns.reward, trace.columns.cost))
+        assert trace.efficiency_total() == expected
+
+    def test_zero_cost_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            self.trace([(0.5, 0.5), (0.5, 0.0)]).efficiency_total()
 
 
 class TestAggregateRegret:
