@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ExactSum, RunTrace
+from .core import RunTrace
 from .environments import AdversarialMatrixSpec, StochasticEnvSpec, true_efficiency
 
 
@@ -147,18 +147,37 @@ def greedy_oracle_gain(means: Sequence[tuple[float, float]], budget: float) -> f
 
     Pulls arms in decreasing mean-efficiency order (lowest index on ties),
     each as long as its mean cost still fits the remaining budget, then falls
-    through to the next arm in the order.
+    through to the next arm in the order. A pull fits while the correctly
+    rounded total paid stays within ``budget``, as in the policy ledger.
+
+    Each arm's count comes from one exact division, so the time does not
+    grow with budget / cost. The total is kept exactly as a ``Fraction``,
+    whose ``float`` rounds correctly as ``fsum`` does; the rounded total
+    never decreases in the count, so stepping the count down, then up,
+    while the rounded total says so settles it exactly.
     """
+    # Imported here, not at module level: it pulls in decimal, which no
+    # `bwklab run` needs, and would add about 3 ms to every start-up.
+    from fractions import Fraction
+
     _check_knapsack(means, budget)
     order = sorted(
         range(len(means)), key=lambda i: (-(means[i][0] / means[i][1]), i)
     )
-    spent = ExactSum()
+    # Totals up to half an ulp above the budget still round to it, so the
+    # division starts at most one step from the settled count.
+    limit = Fraction(budget) + Fraction(math.ulp(budget)) / 2
+    spent = Fraction(0)
     counts = [0] * len(means)
     for i in order:
-        cost = means[i][1]
-        while spent.add_if_within(cost, budget):
-            counts[i] += 1
+        cost = Fraction(means[i][1])
+        n = max(0, math.floor((limit - spent) / cost))
+        while n > 0 and float(spent + n * cost) > budget:
+            n -= 1
+        while float(spent + (n + 1) * cost) <= budget:
+            n += 1
+        counts[i] = n
+        spent += n * cost
     return math.fsum(n * means[i][0] for i, n in enumerate(counts))
 
 

@@ -168,6 +168,8 @@ class Exp3PPBwk(BudgetedPolicy):
         self.reward_sum = [0.0] * k
         self.cost_sum = [0.0] * k
         self._log_k = math.log(k)
+        # Every gap estimate lies below this bound; see exploration_masses.
+        self._gap_bound = 2.0 / params.cost_min
 
     def confidence_bounds(self) -> tuple[list[float], list[float]]:
         """Per-arm efficiency bounds from empirical means and pull counts.
@@ -200,14 +202,27 @@ class Exp3PPBwk(BudgetedPolicy):
         """Per-arm exploration, capped at 1/2K and the sqrt(ln K / t) decay.
 
         A zero gap estimate leaves the gap term infinite so unresolved arms
-        keep the full cap.
+        keep the full cap. Every mass equals the cap, and the bounds are not
+        computed, while ``beta ln t / (t G^2) >= cap`` with ``G = 2 / c_min``:
+        under the outcome contract that ``update`` enforces (reward in
+        [0, 1], cost at least ``c_min``) every ucb is nonnegative, so every
+        gap is at most an lcb, so at most some ``reward_sum / cost_sum < G``;
+        float ``t * g * g`` is monotone in ``g``, so each gap's term is then
+        at least the cap. With the default ``beta = 256 / c_min^2`` the test
+        reads ``64 ln t / t >= cap`` for any ``c_min``: at K = 5 it holds for
+        about the first 2.2 million rounds (1.4 million at K = 10).
         """
         t = self.t
         k = self.params.n_arms
-        ucb, lcb = self.confidence_bounds()
-        gaps = gap_estimates(ucb, lcb)
+        if t <= k:
+            raise ValueError("exploration masses need one pull of every arm")
         cap = min(0.5 / k, 0.5 * math.sqrt(self._log_k / t))
         beta_log_t = self.beta * math.log(t)
+        g_max = self._gap_bound
+        if beta_log_t / (t * g_max * g_max) >= cap:
+            return [cap] * k
+        ucb, lcb = self.confidence_bounds()
+        gaps = gap_estimates(ucb, lcb)
         out = []
         for g in gaps:
             if g > 0.0:
@@ -233,6 +248,21 @@ class Exp3PPBwk(BudgetedPolicy):
         slack = 1.0 - sum(eps)
         probs = [slack * p + e for p, e in zip(base, eps)]
         return rng.index(probs), probs
+
+    def update(self, arm: int, probs: Sequence[float], outcome: Outcome) -> bool:
+        """Settle one pull, as BudgetedPolicy.update does.
+
+        Refuses an outcome outside [0, 1] x [cost_min, inf) with ValueError
+        before the ledger, so ``t``, the spent budget and ``terminated`` are
+        unchanged: exploration_masses relies on that range. So an episode of
+        this policy fails there, before it can reach the horizon cap.
+        """
+        if not (0.0 <= outcome.reward <= 1.0 and outcome.cost >= self.params.cost_min):
+            raise ValueError(
+                f"outcome (reward {outcome.reward}, cost {outcome.cost}) outside "
+                f"[0, 1] x [cost_min, inf)"
+            )
+        return super().update(arm, probs, outcome)
 
     def _learn(self, arm: int, probs: Sequence[float], outcome: Outcome) -> None:
         self.pull_count[arm] += 1

@@ -1,5 +1,6 @@
 """Hindsight oracles, greedy/brute-force knapsack pair, regret figures."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -210,6 +211,17 @@ class TestHindsightFixedArms:
             assert_same_hindsight(random_matrix_spec(params, RngStream(808, stream)))
 
 
+def reference_greedy_gain(means, budget):
+    """greedy_oracle_gain as one ExactSum.add_if_within call per pull."""
+    order = sorted(range(len(means)), key=lambda i: (-(means[i][0] / means[i][1]), i))
+    spent = ExactSum()
+    counts = [0] * len(means)
+    for i in order:
+        while spent.add_if_within(means[i][1], budget):
+            counts[i] += 1
+    return math.fsum(n * means[i][0] for i, n in enumerate(counts))
+
+
 class TestGreedyOracle:
     def test_single_arm(self):
         assert greedy_oracle_gain([(0.5, 1.0)], 10.0) == pytest.approx(5.0)
@@ -229,6 +241,35 @@ class TestGreedyOracle:
         # equal efficiency, only one pull affordable: arm 0 must be taken
         gain = greedy_oracle_gain([(0.6, 1.0), (0.3, 0.5)], 1.0)
         assert gain == pytest.approx(0.6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.1, 0.3, 0.7]) | st.floats(0.01, 1.0)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([1.0, 2.1, 10.0]) | st.floats(0.01, 20.0),
+    )
+    def test_matches_pull_loop_exactly(self, means, budget):
+        assert greedy_oracle_gain(means, budget) == reference_greedy_gain(means, budget)
+
+    def test_total_on_a_rounding_tie_above_budget_is_refused(self):
+        # 1 + 3 * 2**-53 lies halfway between the budget 1 + 2**-52 and the
+        # next float, and the tie rounds to that even neighbour, over budget;
+        # both arms have efficiency 1, so arm 0 goes first
+        budget = math.nextafter(1.0, 2.0)
+        tiny = 3 * 2.0**-53
+        means = [(1.0, 1.0), (tiny, tiny)]
+        assert math.fsum([1.0, tiny]) > budget
+        assert greedy_oracle_gain(means, budget) == reference_greedy_gain(means, budget) == 1.0
+
+    def test_tiny_cost_takes_no_pull_loop(self):
+        # a billion pulls of cost 1e-9 total 1 + 6.2e-17, which rounds to 1.0
+        start = time.perf_counter()
+        gain = greedy_oracle_gain([(0.5, 1e-9)], 1.0)
+        assert time.perf_counter() - start < 1.0
+        assert gain == 0.5 * 10**9
 
     @pytest.mark.parametrize(
         "arm",

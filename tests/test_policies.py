@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bwklab.core import InstanceParams, Outcome, RngStream
 from bwklab.policies import (
@@ -196,6 +198,8 @@ class TestExp3PPConfidenceBounds:
         pol = Exp3PPBwk(params(n_arms=2, budget=100.0))
         with pytest.raises(ValueError, match="every arm"):
             pol.confidence_bounds()
+        with pytest.raises(ValueError, match="every arm"):
+            pol.exploration_masses()
 
     def test_scripted_scalar_oracle(self):
         # Independent evaluation of the bound formulas for one arm state.
@@ -286,6 +290,90 @@ class TestExp3PPSelect:
             pol.update(arm, probs, out)
 
 
+def reference_masses(pol):
+    """Exp3PPBwk.exploration_masses without the all-cap shortcut: every gap
+    from the confidence bounds."""
+    t = pol.t
+    k = pol.params.n_arms
+    ucb, lcb = pol.confidence_bounds()
+    gaps = gap_estimates(ucb, lcb)
+    cap = min(0.5 / k, 0.5 * math.sqrt(pol._log_k / t))
+    beta_log_t = pol.beta * math.log(t)
+    out = []
+    for g in gaps:
+        if g > 0.0:
+            out.append(min(cap, beta_log_t / (t * g * g)))
+        else:
+            out.append(cap)
+    return out
+
+
+def policy_at(k, cost_min, beta, outs, scale, t):
+    """A policy fed `outs[i]` on arm i (sweep first), with every arm's
+    pull count and sums then multiplied by `scale`, at round `t`."""
+    pol = Exp3PPBwk(params(n_arms=k, budget=1e12, cost_min=cost_min), beta=beta)
+    uniform = [1.0 / k] * k
+    for arm in range(k):
+        assert pol.update(arm, uniform, Outcome(*outs[arm][0]))
+    for arm in range(k):
+        for out in outs[arm][1:]:
+            assert pol.update(arm, uniform, Outcome(*out))
+    pol.pull_count = [n * scale for n in pol.pull_count]
+    pol.reward_sum = [r * scale for r in pol.reward_sum]
+    pol.cost_sum = [c * scale for c in pol.cost_sum]
+    pol.t = t
+    return pol
+
+
+@st.composite
+def contract_cases(draw):
+    k = draw(st.integers(1, 6))
+    cost_min = draw(st.floats(1e-3, 1.0))
+    beta = draw(st.sampled_from([None, 1e-3, 1.0]) | st.floats(1e-3, 1e3))
+    reward = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    cost = st.just(cost_min) | st.floats(cost_min, 1.0)
+    outs = [draw(st.lists(st.tuples(reward, cost), min_size=1, max_size=3)) for _ in range(k)]
+    scale = draw(st.sampled_from([1, 10**3, 10**6, 10**9]))
+    t = draw(st.integers(k + 1, 100) | st.integers(k + 1, 10**7))
+    return k, cost_min, beta, outs, scale, t
+
+
+# Arm 0 pays efficiency 1/c_min and arm 1 nothing, tightly estimated, so the
+# gap lies between 0.5/c_min and 2/c_min and, at beta = 1, the mass is below
+# the cap: a gap bound under 2/c_min would wrongly return the cap here.
+SEPARATED = (2, 1.0, 1.0, [[(1.0, 1.0)], [(0.0, 1.0)]], 10**6, 1000)
+
+
+class TestExp3PPCapShortcut:
+    @settings(max_examples=300, deadline=None)
+    @given(contract_cases())
+    @example(SEPARATED)
+    def test_matches_the_bounds_path(self, case):
+        pol = policy_at(*case)
+        assert pol.exploration_masses() == reference_masses(pol)
+
+    def test_separated_case_is_below_the_cap(self):
+        pol = policy_at(*SEPARATED)
+        masses = reference_masses(pol)
+        cap = min(0.25, 0.5 * math.sqrt(math.log(2) / 1000))
+        assert masses[0] == cap and masses[1] < cap
+
+    @pytest.mark.parametrize("cost_min", [1e-3, 0.25, 1.0])
+    def test_default_beta_skips_the_bounds_for_two_million_rounds(self, cost_min, monkeypatch):
+        outs = [[(0.5, cost_min)]] * 5
+        pol = policy_at(5, cost_min, None, outs, 10**6, 2_000_000)
+
+        def no_bounds():
+            raise AssertionError("confidence bounds computed")
+
+        monkeypatch.setattr(pol, "confidence_bounds", no_bounds)
+        cap = 0.5 * math.sqrt(math.log(5) / 2_000_000)
+        assert pol.exploration_masses() == [cap] * 5
+        pol.t = 2_500_000
+        with pytest.raises(AssertionError, match="confidence bounds computed"):
+            pol.exploration_masses()
+
+
 class TestExp3PPUpdate:
     def test_zero_loss_on_max_efficiency_pull(self):
         pol = swept_policy(k=2, budget=100.0, cost_min=1.0)
@@ -331,6 +419,19 @@ class TestExp3PPUpdate:
         assert pol.remaining_budget == pytest.approx(0.6)
         with pytest.raises(ValueError, match="episode over"):
             pol.update(0, [0.5, 0.5], Outcome(reward=0.0, cost=0.5))
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [Outcome(-0.1, 0.5), Outcome(1.5, 0.5), Outcome(math.nan, 0.5),
+         Outcome(0.5, 0.49), Outcome(0.5, math.nan)],
+        ids=["negative_reward", "reward_above_one", "nan_reward", "cost_below_min", "nan_cost"],
+    )
+    def test_refuses_outcome_outside_contract(self, outcome):
+        pol = swept_policy(k=2, budget=100.0, cost_min=0.5)
+        before = (pol.t, pol.remaining_budget, pol.terminated)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\] x \[cost_min, inf\)"):
+            pol.update(0, [0.5, 0.5], outcome)
+        assert (pol.t, pol.remaining_budget, pol.terminated) == before
 
 
 class TestBaselines:
