@@ -198,16 +198,14 @@ class RngStream:
         return float(u)
 
     def uniforms(self, n: int) -> np.ndarray:
-        """Next ``n`` uniforms as an array (continues the scalar sequence)."""
-        left = self._buf.shape[0] - self._pos
-        if n <= left:
-            out = self._buf[self._pos : self._pos + n].copy()
-            self._pos += n
-            return out
-        head = self._buf[self._pos :].copy()
-        self._pos = self._buf.shape[0]
-        tail = self._gen.random(n - head.shape[0])
-        return np.concatenate([head, tail])
+        """Next ``n`` uniforms in one new array (continues the scalar sequence)."""
+        out = np.empty(n)
+        head = min(n, self._buf.shape[0] - self._pos)
+        out[:head] = self._buf[self._pos : self._pos + head]
+        self._pos += head
+        if head < n:
+            self._gen.random(out=out[head:])
+        return out
 
     def integer(self, n: int) -> int:
         """Uniform index in [0, n)."""

@@ -287,19 +287,28 @@ def random_matrix_spec(
     order = np.argsort(rng.uniforms(k), kind="stable")
     levels = levels[order]
 
-    noise = (rng.uniforms(t_max * k).reshape(t_max, k) - 0.5) * (2.0 * reward_noise)
-    rewards = np.clip(levels[None, :] + noise, 0.0, 1.0)
+    # The largest arrays of a run, so built in place: each step is one IEEE
+    # operation of the whole-array formula, its operands commuted at most.
+    rewards = rng.uniforms(t_max * k).reshape(t_max, k)
+    rewards -= 0.5
+    rewards *= 2.0 * reward_noise
+    rewards += levels
+    np.clip(rewards, 0.0, 1.0, out=rewards)
 
     lo, hi = params.cost_min, params.cost_max
     if cost_jitter is None:
-        costs = lo + rng.uniforms(t_max * k).reshape(t_max, k) * (hi - lo)
+        costs = rng.uniforms(t_max * k).reshape(t_max, k)
+        costs *= hi - lo
+        costs += lo
     else:
         j = cost_jitter
         if j < 0 or lo + 2 * j > hi:
             raise ValueError("cost_jitter too large for the cost interval")
         base = lo + j + rng.uniforms(t_max) * (hi - lo - 2 * j)
-        wiggle = (rng.uniforms(t_max * k).reshape(t_max, k) - 0.5) * (2.0 * j)
-        costs = base[:, None] + wiggle
+        costs = rng.uniforms(t_max * k).reshape(t_max, k)
+        costs -= 0.5
+        costs *= 2.0 * j
+        costs += base[:, None]
     return AdversarialMatrixSpec(params=params, rewards=rewards, costs=costs)
 
 

@@ -178,7 +178,13 @@ def greedy_oracle_gain(means: Sequence[tuple[float, float]], budget: float) -> f
             n += 1
         counts[i] = n
         spent += n * cost
-    return math.fsum(n * means[i][0] for i, n in enumerate(counts))
+    try:
+        gain = math.fsum(n * means[i][0] for i, n in enumerate(counts))
+    except (OverflowError, ValueError):  # a count beyond float range, or inf - inf
+        gain = math.inf
+    if not math.isfinite(gain):
+        raise ValueError("greedy gain or a pull count leaves the float range")
+    return gain
 
 
 def brute_force_optimal_gain(

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -429,15 +428,26 @@ def run_episode(
     rng = RngStream(seed, stream_id)
     cap = params.horizon_cap()
     columns = RoundColumns()
-    record = columns.append
-    while not policy.terminated and policy.remaining_budget > 0.0:
-        if policy.t > cap:
-            raise RuntimeError(f"horizon cap of {cap} rounds reached: a cost below cost_min")
+    select, step, update = policy.select, env_spec.step, policy.update
+    add_t, add_arm, add_probs = columns.t.append, columns.arm.append, columns.probs.extend
+    add_reward, add_cost = columns.reward.append, columns.cost.append
+    add_left = columns.budget_after.append
+    # Only a paid update moves the ledger: one read is budget_after and loop test.
+    left = policy.remaining_budget
+    while not policy.terminated and left > 0.0:
         t = policy.t
-        arm, probs = policy.select(rng)
-        outcome = env_spec.step(t, arm, rng)
-        if policy.update(arm, probs, outcome):
-            record(t, arm, probs, outcome.reward, outcome.cost, policy.remaining_budget)
+        if t > cap:
+            raise RuntimeError(f"horizon cap of {cap} rounds reached: a cost below cost_min")
+        arm, probs = select(rng)
+        outcome = step(t, arm, rng)
+        if update(arm, probs, outcome):
+            left = policy.remaining_budget
+            add_t(t)
+            add_arm(arm)
+            add_probs(probs)
+            add_reward(outcome.reward)
+            add_cost(outcome.cost)
+            add_left(left)
     return RunTrace(budget, columns, TerminationReason.BUDGET_EXHAUSTED, policy.aborted_pull)
 
 
@@ -523,6 +533,9 @@ def run_experiment(
         for rep in range(config.replications)
     ]
     if threads > 1:
+        # Imported here: multiprocessing costs a one-worker run 2 MB and 20 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             # A worker runs the check, so the parent never imports numpy.random
             # (lazy under numpy 2; with hashlib and OpenSSL, about 6 MB resident).

@@ -170,6 +170,21 @@ class TestRngStream:
         )
         assert seq_a == pytest.approx(seq_b, abs=0.0)
 
+    @pytest.mark.parametrize("used", [0, 1, 600, RngStream._BUFFER])
+    @pytest.mark.parametrize("beyond", [-1, 0, 1, 5 * RngStream._BUFFER + 7])
+    def test_bulk_draw_of_any_size_continues_the_scalar_sequence(self, used, beyond):
+        # n is below, equal to or above what is left in the buffer after
+        # `used` scalar draws (nothing is buffered before the first draw)
+        left = (-used) % RngStream._BUFFER
+        n = max(0, left + beyond)
+        a = RngStream(9, 0)
+        b = RngStream(9, 0)
+        seq_a = [a.uniform() for _ in range(used + n + 3)]
+        bulk_start = [b.uniform() for _ in range(used)]
+        bulk = b.uniforms(n)
+        assert bulk.dtype == np.float64 and bulk.shape == (n,)
+        assert bulk_start + list(bulk) + [b.uniform() for _ in range(3)] == seq_a
+
     def test_index_matches_manual_inverse_cdf(self):
         probs = [0.25, 0.5, 0.25]
         a = RngStream(31, 0)

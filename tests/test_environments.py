@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bwklab.core import InstanceParams, RngStream
 from bwklab.environments import (
@@ -320,6 +322,80 @@ class TestRandomMatrixFamily:
         params = InstanceParams(n_arms=2, budget=10.0, cost_min=0.9)
         with pytest.raises(ValueError, match="cost_jitter"):
             random_matrix_spec(params, RngStream(0), cost_jitter=0.2)
+
+
+def reference_random_matrix(
+    params, rng, cost_jitter=None, reward_noise=0.15, level_span=(0.15, 0.85)
+):
+    """random_matrix_spec's matrices by whole-array expressions, drawing each
+    uniform with a scalar ``rng.uniform()`` call."""
+
+    def uniforms(n):
+        return np.array([rng.uniform() for _ in range(n)])
+
+    k = params.n_arms
+    t_max = math.ceil(params.budget / params.cost_min)
+    if k == 1:
+        levels = np.array([0.5 * (level_span[0] + level_span[1])])
+    else:
+        levels = np.linspace(level_span[0], level_span[1], k)
+    levels = levels[np.argsort(uniforms(k), kind="stable")]
+    noise = (uniforms(t_max * k).reshape(t_max, k) - 0.5) * (2.0 * reward_noise)
+    rewards = np.clip(levels[None, :] + noise, 0.0, 1.0)
+    lo, hi = params.cost_min, params.cost_max
+    if cost_jitter is None:
+        costs = lo + uniforms(t_max * k).reshape(t_max, k) * (hi - lo)
+    else:
+        j = cost_jitter
+        base = lo + j + uniforms(t_max) * (hi - lo - 2 * j)
+        wiggle = (uniforms(t_max * k).reshape(t_max, k) - 0.5) * (2.0 * j)
+        costs = base[:, None] + wiggle
+    return rewards, costs
+
+
+class TestRandomMatrixInPlace:
+    """The in-place build gives the matrices of the whole-array expressions."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n_arms=st.integers(1, 6),
+        cost_min=st.floats(0.05, 1.0),
+        cost_span=st.floats(0.0, 2.0),
+        # up to 1000 rounds at K = 6: several refills of the 1024-draw buffer
+        rounds=st.integers(1, 1000),
+        jitter_frac=st.none() | st.floats(0.0, 1.0),
+        reward_noise=st.floats(0.0, 2.0),
+        level_span=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+        seed=st.integers(0, 2**32),
+        pre_drawn=st.integers(0, 1500),
+    )
+    def test_matches_whole_array_expressions(
+        self, n_arms, cost_min, cost_span, rounds, jitter_frac, reward_noise, level_span,
+        seed, pre_drawn,
+    ):
+        cost_max = cost_min + cost_span
+        params = InstanceParams(n_arms, rounds * cost_min, cost_min, cost_max)
+        jitter = None if jitter_frac is None else jitter_frac * (cost_max - cost_min) / 2
+        assume(jitter is None or cost_min + 2 * jitter <= cost_max)
+        shape = dict(cost_jitter=jitter, reward_noise=reward_noise, level_span=tuple(level_span))
+        rng, ref_rng = RngStream(seed, 3), RngStream(seed, 3)
+        for r in (rng, ref_rng):  # start at any offset into the buffer
+            for _ in range(pre_drawn):
+                r.uniform()
+        rewards, costs = reference_random_matrix(params, ref_rng, **shape)
+        assume(costs.min() >= cost_min and costs.max() <= cost_max)
+        spec = random_matrix_spec(params, rng, **shape)
+        assert spec.rewards.shape == rewards.shape
+        assert (spec.rewards == rewards).all()
+        assert (spec.costs == costs).all()
+        assert rng.uniform() == ref_rng.uniform()  # both streams stop at one place
+
+    @pytest.mark.parametrize("cost_jitter", [None, 0.05])
+    def test_benchmark_sized_matrix(self, cost_jitter):
+        params = InstanceParams(n_arms=5, budget=1000.0, cost_min=0.25)
+        spec = random_matrix_spec(params, RngStream(2018, 9), cost_jitter=cost_jitter)
+        rewards, costs = reference_random_matrix(params, RngStream(2018, 9), cost_jitter)
+        assert (spec.rewards == rewards).all() and (spec.costs == costs).all()
 
 
 class TestMatrixCsv:

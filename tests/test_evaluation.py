@@ -281,6 +281,24 @@ class TestGreedyOracle:
         with pytest.raises(ValueError, match=r"arm 1: need a finite mean reward"):
             greedy_oracle_gain([(0.9, 1.0), arm], 1.0)
 
+    @pytest.mark.parametrize(
+        "means",
+        [
+            [(0.5, 5e-324)],  # about 2e323 pulls
+            [(0.5, 1e-310)],  # about 1e310 pulls
+            [(1e300, 1e-300)],  # 1e300 pulls, gain 1e600
+            [(1e308, 0.5)],  # two pulls, gain 2e308
+            [(1e308, 0.4), (-1e308, 0.1)],  # two pulls each: inf - inf
+        ],
+        ids=["subnormal_cost", "tiny_cost", "huge_gain", "gain_just_over", "opposite_infinities"],
+    )
+    def test_count_or_gain_beyond_float_range_refused(self, means):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            greedy_oracle_gain(means, 1.0)
+
+    def test_largest_representable_count_kept(self):
+        assert greedy_oracle_gain([(0.5, 1e-300)], 1.0) == 5e299
+
     @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="budget must be finite and positive"):

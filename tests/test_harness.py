@@ -3,13 +3,25 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from bwklab.core import InstanceParams, Outcome, RngStream, TerminationReason
+import bwklab
+from bwklab.core import (
+    InstanceParams,
+    Outcome,
+    RngStream,
+    RoundColumns,
+    RunTrace,
+    TerminationReason,
+)
 from bwklab.environments import (
+    ScaledBernoulli,
     StochasticEnvSpec,
+    UniformOn,
     big_cost_trap_matrix,
     random_matrix_spec,
     save_matrix_csv,
@@ -100,6 +112,80 @@ class TestRunEpisode:
         params = InstanceParams(n_arms=2, budget=3.0, cost_min=0.5)
         with pytest.raises(RuntimeError, match="horizon cap of 7 rounds"):
             run_episode(PolicyConfig("fixed_arm", {"arm": 0}), ZeroCostEnv(params), 3.0, 1, 1)
+
+
+def reference_episode(policy_config, env_spec, budget, seed, stream_id):
+    """run_episode's loop reading the ledger twice per paid round: in the loop
+    test and for the recorded budget_after."""
+    params = env_spec.params
+    policy = policy_config.build(params)
+    rng = RngStream(seed, stream_id)
+    cap = params.horizon_cap()
+    columns = RoundColumns()
+    while not policy.terminated and policy.remaining_budget > 0.0:
+        if policy.t > cap:
+            raise RuntimeError(f"horizon cap of {cap} rounds reached: a cost below cost_min")
+        t = policy.t
+        arm, probs = policy.select(rng)
+        outcome = env_spec.step(t, arm, rng)
+        if policy.update(arm, probs, outcome):
+            columns.append(t, arm, probs, outcome.reward, outcome.cost, policy.remaining_budget)
+    return RunTrace(budget, columns, TerminationReason.BUDGET_EXHAUSTED, policy.aborted_pull)
+
+
+ALL_POLICIES = [
+    PolicyConfig(name="exp3bwk"),
+    PolicyConfig(name="exp3pp_bwk"),
+    PolicyConfig("fixed_arm", {"arm": 1}),
+    PolicyConfig(name="uniform"),
+]
+
+
+def uniform_cost_spec(budget):
+    params = InstanceParams(n_arms=3, budget=budget, cost_min=0.25)
+    return StochasticEnvSpec(
+        params,
+        tuple(ScaledBernoulli(p) for p in (0.3, 0.6, 0.5)),
+        tuple(UniformOn(0.25, hi) for hi in (1.0, 0.5, 0.75)),
+    )
+
+
+class TestRunEpisodeMatchesReference:
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("kind", ["stochastic", "matrix"])
+    def test_traces_equal(self, policy, kind):
+        budget = 30.0
+        params = InstanceParams(n_arms=3, budget=budget, cost_min=0.25)
+        aborted = 0
+        for stream in range(8):
+            if kind == "stochastic":
+                spec = uniform_cost_spec(budget)
+            else:
+                spec = random_matrix_spec(params, RngStream(5, 2 * stream))
+            trace = run_episode(policy, spec, budget, 5, 2 * stream + 1)
+            assert trace == reference_episode(policy, spec, budget, 5, 2 * stream + 1)
+            assert trace.columns.budget_after[-1] == budget - trace.total_cost
+            aborted += trace.aborted_pull is not None
+        assert aborted > 0  # costs in [0.25, 1] rarely land on B exactly
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
+    def test_zero_cost_environment_fails_alike(self, policy):
+        # the horizon-cap RuntimeError where nothing divides by the cost;
+        # exp3bwk divides by it, and exp3pp_bwk refuses the outcome first
+        class ZeroCostEnv:
+            params = InstanceParams(n_arms=2, budget=3.0, cost_min=0.5)
+
+            def step(self, t, arm, rng):
+                return Outcome(reward=0.0, cost=0.0)
+
+        errors = []
+        for run in (run_episode, reference_episode):
+            with pytest.raises(Exception) as info:
+                run(policy, ZeroCostEnv(), 3.0, 1, 1)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        if policy.name in ("fixed_arm", "uniform"):
+            assert errors[0] == (RuntimeError, "horizon cap of 7 rounds reached: a cost below cost_min")
 
 
 class TestRunExperiment:
@@ -420,6 +506,30 @@ class TestCli:
         assert self.run_cli(tmp_path, doc, "--emit-traces", "--threads", threads) == 0
         pooled = {p: Path(p).read_bytes() for p in capsys.readouterr().out.split()}
         assert pooled == serial
+
+    def test_one_worker_run_loads_no_pool_modules(self, tmp_path):
+        # in a fresh interpreter: this one has already started pools
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_doc(budgets=[10], replications=2)))
+        script = (
+            "import sys\n"
+            "def pool_modules():\n"
+            "    names = ('concurrent.futures', 'multiprocessing')\n"
+            "    return [m for m in names if m in sys.modules]\n"
+            "import bwklab.cli\n"
+            "print('after import', pool_modules(), file=sys.stderr)\n"
+            "code = bwklab.cli.main(sys.argv[1:])\n"
+            "print('after run', code, pool_modules(), file=sys.stderr)\n"
+        )
+        src = os.path.dirname(os.path.dirname(bwklab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--threads", "1"]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert done.stderr.splitlines() == ["after import []", "after run 0 []"]
+        assert (tmp_path / "o_summary.csv").exists()
 
     def test_trace_paths_print_in_episode_order(self, tmp_path, capsys):
         doc = config_doc(replications=2)
