@@ -22,14 +22,6 @@ class TerminationReason(Enum):
     HORIZON_CAP = "horizon_cap"
 
 
-@dataclass(frozen=True, slots=True)
-class Outcome:
-    """One pull's feedback: a reward in [0, 1] and a cost in [c_min, c_max]."""
-
-    reward: float
-    cost: float
-
-
 @dataclass(frozen=True)
 class InstanceParams:
     """Static description of a bandit instance: arm count, budget, cost bounds.
@@ -63,12 +55,12 @@ class InstanceParams:
 
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
-    """One completed round: selection probabilities, outcome, budget left."""
+    """One completed round: selection probabilities, (reward, cost), budget left."""
 
     t: int
     arm: int
     probs: tuple[float, ...]
-    outcome: Outcome
+    outcome: tuple[float, float]
     budget_after: float
 
 
@@ -128,15 +120,16 @@ class RunTrace:
     """Complete record of one episode, the unit of evaluation.
 
     ``aborted_pull`` holds a final pull whose cost exceeded the remaining
-    budget: its outcome was observed but neither reward was collected nor
-    cost paid, so ``total_cost <= budget`` holds with probability 1.
+    budget, as ``(arm, reward, cost)``: its outcome was observed but neither
+    reward was collected nor cost paid, so ``total_cost <= budget`` holds
+    with probability 1.
     The totals and ``tau`` are derived from ``columns``.
     """
 
     budget: float
     columns: RoundColumns
     terminated_by: TerminationReason
-    aborted_pull: tuple[int, Outcome] | None = None
+    aborted_pull: tuple[int, float, float] | None = None
     total_reward: float = field(init=False)
     total_cost: float = field(init=False)
     tau: int = field(init=False)
@@ -152,13 +145,13 @@ class RunTrace:
         budget: float,
         rounds: Iterable[RoundRecord],
         terminated_by: TerminationReason,
-        aborted_pull: tuple[int, Outcome] | None = None,
+        aborted_pull: tuple[int, float, float] | None = None,
     ) -> "RunTrace":
         cols = RoundColumns()
         for r in rounds:
             if cols.t and len(r.probs) != cols.width:
                 raise ValueError("rounds of one episode must have equal-length probs")
-            cols.append(r.t, r.arm, r.probs, r.outcome.reward, r.outcome.cost, r.budget_after)
+            cols.append(r.t, r.arm, r.probs, *r.outcome, r.budget_after)
         return cls(budget, cols, terminated_by, aborted_pull)
 
     def pull_counts(self, n_arms: int) -> list[int]:
@@ -186,21 +179,22 @@ class RngStream:
             entropy=self.seed & _MASK64, spawn_key=(self.stream_id & _MASK64,)
         )
         self._gen = np.random.Generator(np.random.PCG64(ss))
-        self._buf: np.ndarray = np.empty(0)
+        # Python floats, so a scalar draw boxes no numpy scalar
+        self._buf: list[float] = []
         self._pos = 0
 
     def uniform(self) -> float:
-        if self._pos >= self._buf.shape[0]:
-            self._buf = self._gen.random(self._BUFFER)
+        if self._pos >= len(self._buf):
+            self._buf = self._gen.random(self._BUFFER).tolist()
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1
-        return float(u)
+        return u
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` uniforms in one new array (continues the scalar sequence)."""
         out = np.empty(n)
-        head = min(n, self._buf.shape[0] - self._pos)
+        head = min(n, len(self._buf) - self._pos)
         out[:head] = self._buf[self._pos : self._pos + head]
         self._pos += head
         if head < n:

@@ -442,11 +442,12 @@ def run_episode(
         outcome = step(t, arm, rng)
         if update(arm, probs, outcome):
             left = policy.remaining_budget
+            reward, cost = outcome
             add_t(t)
             add_arm(arm)
             add_probs(probs)
-            add_reward(outcome.reward)
-            add_cost(outcome.cost)
+            add_reward(reward)
+            add_cost(cost)
             add_left(left)
     return RunTrace(budget, columns, TerminationReason.BUDGET_EXHAUSTED, policy.aborted_pull)
 
@@ -536,7 +537,8 @@ def run_experiment(
         # Imported here: multiprocessing costs a one-worker run 2 MB and 20 ms.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # Under fork every worker starts at the first submit: none beyond the episodes.
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             # A worker runs the check, so the parent never imports numpy.random
             # (lazy under numpy 2; with hashlib and OpenSSL, about 6 MB resident).
             pool.submit(_check_config, config).result()

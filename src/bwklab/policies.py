@@ -1,8 +1,9 @@
 """Budgeted bandit policies exposed as init/select/update state machines.
 
 Every policy follows the same game contract: it observes the outcome of the
-selected arm, and if the cost exceeds the remaining budget it terminates on
-the spot, paying nothing and collecting nothing for that final pull.
+selected arm, an environment step's ``(reward, cost)`` pair, and if the cost
+exceeds the remaining budget it terminates on the spot, paying nothing and
+collecting nothing for that final pull.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from typing import Sequence
 from .core import (
     ExactSum,
     InstanceParams,
-    Outcome,
     RngStream,
     normalized_probs_from_log_weights,
 )
@@ -27,7 +27,7 @@ class BudgetedPolicy:
         self.params = params
         self.t = 1
         self.terminated = False
-        self.aborted_pull: tuple[int, Outcome] | None = None
+        self.aborted_pull: tuple[int, float, float] | None = None
         self._spent = ExactSum()
 
     @property
@@ -37,25 +37,28 @@ class BudgetedPolicy:
     def select(self, rng: RngStream) -> tuple[int, list[float]]:
         raise NotImplementedError
 
-    def update(self, arm: int, probs: Sequence[float], outcome: Outcome) -> bool:
-        """Settle one pull. Returns True iff it was paid and state advanced.
+    def update(self, arm: int, probs: Sequence[float], outcome: tuple[float, float]) -> bool:
+        """Settle one pull of ``outcome = (reward, cost)``. Returns True iff it
+        was paid and state advanced.
 
         An unaffordable pull terminates the episode: the outcome was observed
-        but the cost is not paid, so the budget constraint holds surely.
+        but the cost is not paid, so the budget constraint holds surely. The
+        pull is kept as ``aborted_pull = (arm, reward, cost)``.
         """
         if self.terminated:
             raise ValueError("episode over")
         if probs[arm] <= 0.0:
             raise ValueError("impossible selection")
-        if not self._spent.add_if_within(outcome.cost, self.params.budget):
+        reward, cost = outcome
+        if not self._spent.add_if_within(cost, self.params.budget):
             self.terminated = True
-            self.aborted_pull = (arm, outcome)
+            self.aborted_pull = (arm, reward, cost)
             return False
-        self._learn(arm, probs, outcome)
+        self._learn(arm, probs, reward, cost)
         self.t += 1
         return True
 
-    def _learn(self, arm: int, probs: Sequence[float], outcome: Outcome) -> None:
+    def _learn(self, arm: int, probs: Sequence[float], reward: float, cost: float) -> None:
         raise NotImplementedError
 
 
@@ -101,10 +104,10 @@ class Exp3Bwk(BudgetedPolicy):
         probs = [(1.0 - g) * p + floor for p in base]
         return rng.index(probs), probs
 
-    def _learn(self, arm: int, probs: Sequence[float], outcome: Outcome) -> None:
+    def _learn(self, arm: int, probs: Sequence[float], reward: float, cost: float) -> None:
         # Only the pulled arm gets a nonzero estimate; the exponent increment
         # gamma * c_min * e_hat / K stays in [0, 1] because probs >= gamma/K.
-        e_hat = outcome.reward / (probs[arm] * outcome.cost)
+        e_hat = reward / (probs[arm] * cost)
         self.log_weights[arm] += (
             self.gamma * self.params.cost_min * e_hat / self.params.n_arms
         )
@@ -249,7 +252,7 @@ class Exp3PPBwk(BudgetedPolicy):
         probs = [slack * p + e for p, e in zip(base, eps)]
         return rng.index(probs), probs
 
-    def update(self, arm: int, probs: Sequence[float], outcome: Outcome) -> bool:
+    def update(self, arm: int, probs: Sequence[float], outcome: tuple[float, float]) -> bool:
         """Settle one pull, as BudgetedPolicy.update does.
 
         Refuses an outcome outside [0, 1] x [cost_min, inf) with ValueError
@@ -257,26 +260,30 @@ class Exp3PPBwk(BudgetedPolicy):
         unchanged: exploration_masses relies on that range. So an episode of
         this policy fails there, before it can reach the horizon cap.
         """
-        if not (0.0 <= outcome.reward <= 1.0 and outcome.cost >= self.params.cost_min):
+        reward, cost = outcome
+        if not (0.0 <= reward <= 1.0 and cost >= self.params.cost_min):
             raise ValueError(
-                f"outcome (reward {outcome.reward}, cost {outcome.cost}) outside "
-                f"[0, 1] x [cost_min, inf)"
+                f"outcome (reward {reward}, cost {cost}) outside [0, 1] x [cost_min, inf)"
             )
         return super().update(arm, probs, outcome)
 
-    def _learn(self, arm: int, probs: Sequence[float], outcome: Outcome) -> None:
+    def _learn(self, arm: int, probs: Sequence[float], reward: float, cost: float) -> None:
         self.pull_count[arm] += 1
-        self.reward_sum[arm] += outcome.reward
-        self.cost_sum[arm] += outcome.cost
+        self.reward_sum[arm] += reward
+        self.cost_sum[arm] += cost
         if self.t <= self.params.n_arms:
             return
         p = probs[arm]
-        e_hat = outcome.reward / (p * outcome.cost)
+        e_hat = reward / (p * cost)
         self.cum_loss[arm] += 1.0 / (self.params.cost_min * p) - e_hat
 
 
 class FixedArmPolicy(BudgetedPolicy):
-    """Plays one arm every round, under the same budget contract."""
+    """Plays one arm every round, under the same budget contract.
+
+    ``select`` returns the same probability list every round, not a copy:
+    callers must not mutate it.
+    """
 
     def __init__(self, params: InstanceParams, arm: int):
         super().__init__(params)
@@ -290,14 +297,18 @@ class FixedArmPolicy(BudgetedPolicy):
         if self.terminated:
             raise ValueError("episode over")
         del rng
-        return self.arm, list(self._probs)
+        return self.arm, self._probs
 
-    def _learn(self, arm: int, probs: Sequence[float], outcome: Outcome) -> None:
+    def _learn(self, arm: int, probs: Sequence[float], reward: float, cost: float) -> None:
         pass
 
 
 class UniformPolicy(BudgetedPolicy):
-    """Samples arms uniformly at random; a no-learning control."""
+    """Samples arms uniformly at random; a no-learning control.
+
+    ``select`` returns the same probability list every round, not a copy:
+    callers must not mutate it.
+    """
 
     def __init__(self, params: InstanceParams):
         super().__init__(params)
@@ -306,7 +317,7 @@ class UniformPolicy(BudgetedPolicy):
     def select(self, rng: RngStream) -> tuple[int, list[float]]:
         if self.terminated:
             raise ValueError("episode over")
-        return rng.index(self._probs), list(self._probs)
+        return rng.index(self._probs), self._probs
 
-    def _learn(self, arm: int, probs: Sequence[float], outcome: Outcome) -> None:
+    def _learn(self, arm: int, probs: Sequence[float], reward: float, cost: float) -> None:
         pass

@@ -1,5 +1,7 @@
 """Environments: distributions, specs, step operations, generators, files."""
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -21,6 +23,7 @@ from bwklab.environments import (
     save_matrix_csv,
     true_efficiency,
 )
+from bwklab.harness import ENVIRONMENTS, parse_config
 
 
 def make_stochastic(arms, cost_min, cost_max=1.0, budget=100.0):
@@ -87,8 +90,8 @@ class TestStochasticSpec:
         spec = make_stochastic([(PointMass(0.5), PointMass(1.0))], cost_min=1.0)
         rng = RngStream(0)
         for _ in range(5):
-            out = spec.step(1, 0, rng)
-            assert (out.reward, out.cost) == (0.5, 1.0)
+            reward, cost = spec.step(1, 0, rng)
+            assert (reward, cost) == (0.5, 1.0)
 
     def test_bernoulli_law_of_large_numbers(self):
         spec = make_stochastic(
@@ -96,7 +99,7 @@ class TestStochasticSpec:
         )
         rng = RngStream(2024)
         n = 100_000
-        mean = sum(spec.step(1, 0, rng).reward for _ in range(n)) / n
+        mean = sum(reward for reward, _ in (spec.step(1, 0, rng) for _ in range(n))) / n
         assert abs(mean - 0.7) < 0.01
 
     def test_deterministic_replay(self):
@@ -127,8 +130,8 @@ class TestAdversarialSpec:
     def test_lookup(self):
         spec = self.make()
         assert spec.step(3, 1) == spec.step(3, 1)
-        out = spec.step(3, 1)
-        assert (out.reward, out.cost) == (0.4, 0.5)
+        reward, cost = spec.step(3, 1)
+        assert (reward, cost) == (0.4, 0.5)
 
     def test_bounds_errors(self):
         spec = self.make()
@@ -138,11 +141,31 @@ class TestAdversarialSpec:
             spec.step(0, 0)
         with pytest.raises(ValueError, match="out of range"):
             spec.step(1, 3)
+        # a memoryview index wraps a negative value, so only the checks refuse one
+        with pytest.raises(ValueError, match="out of range"):
+            spec.step(1, -1)
+        with pytest.raises(ValueError, match="out of range"):
+            spec.step(-1, 0)
 
     def test_matrices_are_frozen(self):
         spec = self.make()
         with pytest.raises(ValueError):
             spec.rewards[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "copy_of", [copy.deepcopy, lambda spec: pickle.loads(pickle.dumps(spec))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_are_rebuilt_read_only(self, copy_of):
+        spec = self.make()
+        twin = copy_of(spec)
+        for matrix in (twin.rewards, twin.costs):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[2, 1] = 5.0
+        assert twin.params == spec.params
+        cells = [(t, arm) for t in range(1, spec.t_max + 1) for arm in range(3)]
+        assert [twin.step(t, arm) for t, arm in cells] == [spec.step(t, arm) for t, arm in cells]
 
     def test_horizon_requirement(self):
         with pytest.raises(ValueError, match="horizon too short"):
@@ -170,6 +193,53 @@ class TestAdversarialSpec:
                 rewards=np.zeros((20, 2)),
                 costs=costs,
             )
+
+
+class TestStepContract:
+    """step returns a plain (reward, cost) tuple of two floats."""
+
+    @staticmethod
+    def environment_docs(tmp_path):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(big_cost_trap_matrix(0.5, 16.0, optimal_arm=1), str(path))
+        return {
+            "stochastic": {
+                "kind": "stochastic",
+                "cost_min": 0.25,
+                "arms": [
+                    {"reward": {"type": "bernoulli", "p": 0.5}, "cost": {"type": "point", "value": 1}},
+                    {"reward": {"type": "uniform", "low": 0, "high": 1},
+                     "cost": {"type": "uniform", "low": 0.25, "high": 1}},
+                ],
+            },
+            "matrix_file": {"kind": "matrix_file", "path": str(path)},
+            "hidden_best_arm": {"kind": "hidden_best_arm", "n_arms": 3, "cost_min": 0.25},
+            "big_cost_trap": {"kind": "big_cost_trap", "alpha": 0.5},
+            "random_matrix": {"kind": "random_matrix", "n_arms": 3, "cost_min": 0.5},
+        }
+
+    def test_every_kind_steps_to_a_float_pair(self, tmp_path):
+        docs = self.environment_docs(tmp_path)
+        assert sorted(docs) == sorted(ENVIRONMENTS)
+        for kind, env in docs.items():
+            doc = {"policy": {"name": "uniform"}, "environment": env, "budgets": [16],
+                   "replications": 1, "base_seed": 3}
+            spec = parse_config(doc).environment.build(16.0, RngStream(3, 1))
+            rng = RngStream(3, 2)
+            for t in range(1, 17):  # every kind's horizon covers B / c_min >= 16 rounds
+                for arm in range(spec.params.n_arms):
+                    out = spec.step(t, arm, rng)
+                    assert type(out) is tuple and len(out) == 2, kind
+                    assert [type(v) for v in out] == [float, float], kind
+
+    def test_matrix_step_reads_every_cell_bit_for_bit(self):
+        params = InstanceParams(n_arms=4, budget=40.0, cost_min=0.25)
+        spec = random_matrix_spec(params, RngStream(11), reward_noise=0.6)
+        for t in range(1, spec.t_max + 1):
+            for arm in range(4):
+                reward, cost = spec.step(t, arm)
+                assert reward.hex() == float(spec.rewards[t - 1, arm]).hex()
+                assert cost.hex() == float(spec.costs[t - 1, arm]).hex()
 
 
 class TestTrueEfficiency:
@@ -234,7 +304,7 @@ class TestHiddenBestArm:
         rng = RngStream(9)
         n = 20_000
         for arm in range(3):
-            mean = sum(spec.step(1, arm, rng).reward for _ in range(n)) / n
+            mean = sum(reward for reward, _ in (spec.step(1, arm, rng) for _ in range(n))) / n
             target = 0.5 + eps if arm == spec.optimal_arm else 0.5
             assert abs(mean - target) < 0.015
 

@@ -1,9 +1,11 @@
-"""Output bytes pinned: the first RngStream draws and the benchmark sweeps' digests.
+"""Output bytes pinned: the first RngStream draws, the benchmark sweeps' digests
+and a matrix environment's trace bytes.
 
 A change that alters output bytes on purpose updates these values and says
 so. Any other failure here means the program's output drifted: through the
 code, or through a numpy whose Generator draws differently.
 """
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -37,6 +39,14 @@ DIGESTS = {
         "9970ae26f6d4596f596db7f03cc6ddc959584bde3153dc836c2b107e367932df",
     ),
 }
+
+# No workload emits a matrix environment's traces: these are adv-exp3bwk's
+# config at B = 1000 alone, run with --emit-traces, so every value the
+# matrix step serves is pinned, not only through the summary's sums.
+MATRIX_TRACE_DIGESTS = (
+    "4a44850edf92ab5437f75abb265890af7e9cfd59d1dee8af9adc683c1a923e71",
+    "c78098871741fb677bed7e166aaefd7179cce824298815b0b32798d09c8acb58",
+)
 
 
 @pytest.fixture(scope="module")
@@ -76,13 +86,25 @@ def test_every_workload_is_pinned(workloads):
     assert sorted(workloads.WORKLOADS) == sorted(DIGESTS)
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_workload_output_bytes(tmp_path, capsys, workloads, name):
-    workload = workloads.WORKLOADS[name]
+def sweep_digests(tmp_path, capsys, workloads, workload):
+    """(summary, traces) digests of the workload's sweep at the default seed."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(workload.config_doc(workloads.DEFAULT_SEED), indent=2))
     assert cli.main(workload.argv(str(config_path), str(tmp_path / "sweep"))) == 0
     written = capsys.readouterr().out.split()
     assert written[0].endswith("_summary.csv")
-    digests = (file_sha256(written[0]), traces_sha256([p for p in written if "_trace_" in p]))
+    traces = [p for p in written if "_trace_" in os.path.basename(p)]
+    return file_sha256(written[0]), traces_sha256(traces)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_workload_output_bytes(tmp_path, capsys, workloads, name):
+    digests = sweep_digests(tmp_path, capsys, workloads, workloads.WORKLOADS[name])
     assert digests == DIGESTS[name]
+
+
+def test_matrix_environment_trace_bytes(tmp_path, capsys, workloads):
+    workload = dataclasses.replace(
+        workloads.WORKLOADS["adv-exp3bwk"], budgets=(1000.0,), emit_traces=True
+    )
+    assert sweep_digests(tmp_path, capsys, workloads, workload) == MATRIX_TRACE_DIGESTS

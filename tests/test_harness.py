@@ -12,7 +12,6 @@ import pytest
 import bwklab
 from bwklab.core import (
     InstanceParams,
-    Outcome,
     RngStream,
     RoundColumns,
     RunTrace,
@@ -105,9 +104,7 @@ class TestRunEpisode:
                 self.params = params
 
             def step(self, t, arm, rng):
-                from bwklab.core import Outcome
-
-                return Outcome(reward=0.0, cost=0.0)
+                return 0.0, 0.0
 
         params = InstanceParams(n_arms=2, budget=3.0, cost_min=0.5)
         with pytest.raises(RuntimeError, match="horizon cap of 7 rounds"):
@@ -129,7 +126,8 @@ def reference_episode(policy_config, env_spec, budget, seed, stream_id):
         arm, probs = policy.select(rng)
         outcome = env_spec.step(t, arm, rng)
         if policy.update(arm, probs, outcome):
-            columns.append(t, arm, probs, outcome.reward, outcome.cost, policy.remaining_budget)
+            reward, cost = outcome
+            columns.append(t, arm, probs, reward, cost, policy.remaining_budget)
     return RunTrace(budget, columns, TerminationReason.BUDGET_EXHAUSTED, policy.aborted_pull)
 
 
@@ -176,7 +174,7 @@ class TestRunEpisodeMatchesReference:
             params = InstanceParams(n_arms=2, budget=3.0, cost_min=0.5)
 
             def step(self, t, arm, rng):
-                return Outcome(reward=0.0, cost=0.0)
+                return 0.0, 0.0
 
         errors = []
         for run in (run_episode, reference_episode):
@@ -240,7 +238,8 @@ class TestRunExperiment:
         # every cost is at least cost_min > 0, so a run to the cap is a bug
         class ZeroCostSpec(StochasticEnvSpec):
             def step(self, t, arm, rng):
-                return Outcome(super().step(t, arm, rng).reward, 0.0)
+                reward, _ = super().step(t, arm, rng)
+                return reward, 0.0
 
         build = EnvironmentConfig.build
         monkeypatch.setattr(
@@ -250,6 +249,36 @@ class TestRunExperiment:
             RuntimeError, match=r"B=20.0, replication=0, seed=7\): RuntimeError: horizon cap of 41"
         ):
             run_experiment(parse_config(config_doc(policy={"name": "fixed_arm", "arm": 0})))
+
+    @pytest.mark.parametrize("threads, workers", [(2, 2), (6, 6), (5000, 6)])
+    def test_pool_has_no_more_workers_than_episodes(self, monkeypatch, threads, workers):
+        # under fork every worker starts at the first submit; this pool runs inline
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = parse_config(config_doc())  # 2 budgets x 3 replications
+        assert run_experiment(cfg, threads) == run_experiment(cfg)
+        assert sizes == [workers]
 
     def test_traces_come_from_the_one_run_of_each_episode(self, monkeypatch, tmp_path):
         from bwklab import harness
