@@ -22,6 +22,14 @@ class TerminationReason(Enum):
     HORIZON_CAP = "horizon_cap"
 
 
+@dataclass(frozen=True, slots=True)
+class Outcome:
+    """One pull's feedback: a reward in [0, 1] and a cost in [c_min, c_max]."""
+
+    reward: float
+    cost: float
+
+
 @dataclass(frozen=True)
 class InstanceParams:
     """Static description of a bandit instance: arm count, budget, cost bounds.
@@ -55,12 +63,12 @@ class InstanceParams:
 
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
-    """One completed round: selection probabilities, (reward, cost), budget left."""
+    """One completed round: selection probabilities, outcome, budget left."""
 
     t: int
     arm: int
     probs: tuple[float, ...]
-    outcome: tuple[float, float]
+    outcome: Outcome
     budget_after: float
 
 
@@ -120,16 +128,15 @@ class RunTrace:
     """Complete record of one episode, the unit of evaluation.
 
     ``aborted_pull`` holds a final pull whose cost exceeded the remaining
-    budget, as ``(arm, reward, cost)``: its outcome was observed but neither
-    reward was collected nor cost paid, so ``total_cost <= budget`` holds
-    with probability 1.
+    budget: its outcome was observed but neither reward was collected nor
+    cost paid, so ``total_cost <= budget`` holds with probability 1.
     The totals and ``tau`` are derived from ``columns``.
     """
 
     budget: float
     columns: RoundColumns
     terminated_by: TerminationReason
-    aborted_pull: tuple[int, float, float] | None = None
+    aborted_pull: tuple[int, Outcome] | None = None
     total_reward: float = field(init=False)
     total_cost: float = field(init=False)
     tau: int = field(init=False)
@@ -145,13 +152,13 @@ class RunTrace:
         budget: float,
         rounds: Iterable[RoundRecord],
         terminated_by: TerminationReason,
-        aborted_pull: tuple[int, float, float] | None = None,
+        aborted_pull: tuple[int, Outcome] | None = None,
     ) -> "RunTrace":
         cols = RoundColumns()
         for r in rounds:
             if cols.t and len(r.probs) != cols.width:
                 raise ValueError("rounds of one episode must have equal-length probs")
-            cols.append(r.t, r.arm, r.probs, *r.outcome, r.budget_after)
+            cols.append(r.t, r.arm, r.probs, r.outcome.reward, r.outcome.cost, r.budget_after)
         return cls(budget, cols, terminated_by, aborted_pull)
 
     def pull_counts(self, n_arms: int) -> list[int]:
@@ -179,13 +186,13 @@ class RngStream:
             entropy=self.seed & _MASK64, spawn_key=(self.stream_id & _MASK64,)
         )
         self._gen = np.random.Generator(np.random.PCG64(ss))
-        # Python floats, so a scalar draw boxes no numpy scalar
-        self._buf: list[float] = []
+        # Indexing an array("d") returns a Python float, not a numpy scalar.
+        self._buf = array("d")
         self._pos = 0
 
     def uniform(self) -> float:
         if self._pos >= len(self._buf):
-            self._buf = self._gen.random(self._BUFFER).tolist()
+            self._buf = array("d", self._gen.random(self._BUFFER).tobytes())
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1

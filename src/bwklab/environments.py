@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import InstanceParams, RngStream
+from .core import InstanceParams, Outcome, RngStream
 
 MATRIX_CSV_HEADER = ["t", "arm", "reward", "cost"]
 
@@ -124,7 +124,7 @@ class StochasticEnvSpec:
             if not self.params.cost_min <= lo <= hi <= self.params.cost_max:
                 raise ValueError("cost support must lie inside [cost_min, cost_max]")
 
-    def step(self, t: int, arm: int, rng: RngStream) -> tuple[float, float]:
+    def step(self, t: int, arm: int, rng: RngStream) -> Outcome:
         """One independent (reward, cost) draw for ``arm``; i.i.d. draws do
         not depend on the round ``t``.
 
@@ -132,7 +132,8 @@ class StochasticEnvSpec:
         """
         if not 0 <= arm < self.params.n_arms:
             raise ValueError(f"arm {arm} out of range")
-        return self.reward_dists[arm].sample(rng), self.cost_dists[arm].sample(rng)
+        reward = self.reward_dists[arm].sample(rng)
+        return Outcome(reward, self.cost_dists[arm].sample(rng))
 
 
 @dataclass(frozen=True)
@@ -172,9 +173,6 @@ class AdversarialMatrixSpec:
         costs.setflags(write=False)
         object.__setattr__(self, "rewards", rewards)
         object.__setattr__(self, "costs", costs)
-        # step reads cells as Python floats through these, not numpy scalars
-        object.__setattr__(self, "_reward_cells", memoryview(rewards))
-        object.__setattr__(self, "_cost_cells", memoryview(costs))
 
     def __reduce__(self):
         return type(self), (self.params, self.rewards, self.costs)
@@ -183,15 +181,14 @@ class AdversarialMatrixSpec:
     def t_max(self) -> int:
         return self.rewards.shape[0]
 
-    def step(self, t: int, arm: int, rng: RngStream | None = None) -> tuple[float, float]:
-        """Pure lookup of the pre-committed (reward, cost) for round ``t``
-        (1-based); ``rng`` is not drawn from."""
-        # a memoryview wraps negative indexes, so these checks reject them
+    def step(self, t: int, arm: int, rng: RngStream | None = None) -> Outcome:
+        """Pure lookup of the pre-committed outcome for round ``t`` (1-based);
+        ``rng`` is not drawn from."""
         if not 1 <= t <= self.t_max:
             raise ValueError(f"round {t} out of range [1, {self.t_max}]")
         if not 0 <= arm < self.params.n_arms:
             raise ValueError(f"arm {arm} out of range")
-        return self._reward_cells[t - 1, arm], self._cost_cells[t - 1, arm]
+        return Outcome(self.rewards.item(t - 1, arm), self.costs.item(t - 1, arm))
 
 
 def true_efficiency(spec: StochasticEnvSpec, arm: int) -> float:

@@ -442,12 +442,11 @@ def run_episode(
         outcome = step(t, arm, rng)
         if update(arm, probs, outcome):
             left = policy.remaining_budget
-            reward, cost = outcome
             add_t(t)
             add_arm(arm)
             add_probs(probs)
-            add_reward(reward)
-            add_cost(cost)
+            add_reward(outcome.reward)
+            add_cost(outcome.cost)
             add_left(left)
     return RunTrace(budget, columns, TerminationReason.BUDGET_EXHAUSTED, policy.aborted_pull)
 

@@ -1,9 +1,8 @@
 """Budgeted bandit policies exposed as init/select/update state machines.
 
 Every policy follows the same game contract: it observes the outcome of the
-selected arm, an environment step's ``(reward, cost)`` pair, and if the cost
-exceeds the remaining budget it terminates on the spot, paying nothing and
-collecting nothing for that final pull.
+selected arm, and if the cost exceeds the remaining budget it terminates on
+the spot, paying nothing and collecting nothing for that final pull.
 """
 from __future__ import annotations
 
@@ -13,6 +12,7 @@ from typing import Sequence
 from .core import (
     ExactSum,
     InstanceParams,
+    Outcome,
     RngStream,
     normalized_probs_from_log_weights,
 )
@@ -27,7 +27,7 @@ class BudgetedPolicy:
         self.params = params
         self.t = 1
         self.terminated = False
-        self.aborted_pull: tuple[int, float, float] | None = None
+        self.aborted_pull: tuple[int, Outcome] | None = None
         self._spent = ExactSum()
 
     @property
@@ -37,28 +37,25 @@ class BudgetedPolicy:
     def select(self, rng: RngStream) -> tuple[int, list[float]]:
         raise NotImplementedError
 
-    def update(self, arm: int, probs: Sequence[float], outcome: tuple[float, float]) -> bool:
-        """Settle one pull of ``outcome = (reward, cost)``. Returns True iff it
-        was paid and state advanced.
+    def update(self, arm: int, probs: Sequence[float], outcome: Outcome) -> bool:
+        """Settle one pull. Returns True iff it was paid and state advanced.
 
         An unaffordable pull terminates the episode: the outcome was observed
-        but the cost is not paid, so the budget constraint holds surely. The
-        pull is kept as ``aborted_pull = (arm, reward, cost)``.
+        but the cost is not paid, so the budget constraint holds surely.
         """
         if self.terminated:
             raise ValueError("episode over")
         if probs[arm] <= 0.0:
             raise ValueError("impossible selection")
-        reward, cost = outcome
-        if not self._spent.add_if_within(cost, self.params.budget):
+        if not self._spent.add_if_within(outcome.cost, self.params.budget):
             self.terminated = True
-            self.aborted_pull = (arm, reward, cost)
+            self.aborted_pull = (arm, outcome)
             return False
-        self._learn(arm, probs, reward, cost)
+        self._learn(arm, probs, outcome)
         self.t += 1
         return True
 
-    def _learn(self, arm: int, probs: Sequence[float], reward: float, cost: float) -> None:
+    def _learn(self, arm: int, probs: Sequence[float], outcome: Outcome) -> None:
         raise NotImplementedError
 
 
@@ -104,10 +101,10 @@ class Exp3Bwk(BudgetedPolicy):
         probs = [(1.0 - g) * p + floor for p in base]
         return rng.index(probs), probs
 
-    def _learn(self, arm: int, probs: Sequence[float], reward: float, cost: float) -> None:
+    def _learn(self, arm: int, probs: Sequence[float], outcome: Outcome) -> None:
         # Only the pulled arm gets a nonzero estimate; the exponent increment
         # gamma * c_min * e_hat / K stays in [0, 1] because probs >= gamma/K.
-        e_hat = reward / (probs[arm] * cost)
+        e_hat = outcome.reward / (probs[arm] * outcome.cost)
         self.log_weights[arm] += (
             self.gamma * self.params.cost_min * e_hat / self.params.n_arms
         )
@@ -252,7 +249,7 @@ class Exp3PPBwk(BudgetedPolicy):
         probs = [slack * p + e for p, e in zip(base, eps)]
         return rng.index(probs), probs
 
-    def update(self, arm: int, probs: Sequence[float], outcome: tuple[float, float]) -> bool:
+    def update(self, arm: int, probs: Sequence[float], outcome: Outcome) -> bool:
         """Settle one pull, as BudgetedPolicy.update does.
 
         Refuses an outcome outside [0, 1] x [cost_min, inf) with ValueError
@@ -260,30 +257,26 @@ class Exp3PPBwk(BudgetedPolicy):
         unchanged: exploration_masses relies on that range. So an episode of
         this policy fails there, before it can reach the horizon cap.
         """
-        reward, cost = outcome
-        if not (0.0 <= reward <= 1.0 and cost >= self.params.cost_min):
+        if not (0.0 <= outcome.reward <= 1.0 and outcome.cost >= self.params.cost_min):
             raise ValueError(
-                f"outcome (reward {reward}, cost {cost}) outside [0, 1] x [cost_min, inf)"
+                f"outcome (reward {outcome.reward}, cost {outcome.cost}) outside "
+                f"[0, 1] x [cost_min, inf)"
             )
         return super().update(arm, probs, outcome)
 
-    def _learn(self, arm: int, probs: Sequence[float], reward: float, cost: float) -> None:
+    def _learn(self, arm: int, probs: Sequence[float], outcome: Outcome) -> None:
         self.pull_count[arm] += 1
-        self.reward_sum[arm] += reward
-        self.cost_sum[arm] += cost
+        self.reward_sum[arm] += outcome.reward
+        self.cost_sum[arm] += outcome.cost
         if self.t <= self.params.n_arms:
             return
         p = probs[arm]
-        e_hat = reward / (p * cost)
+        e_hat = outcome.reward / (p * outcome.cost)
         self.cum_loss[arm] += 1.0 / (self.params.cost_min * p) - e_hat
 
 
 class FixedArmPolicy(BudgetedPolicy):
-    """Plays one arm every round, under the same budget contract.
-
-    ``select`` returns the same probability list every round, not a copy:
-    callers must not mutate it.
-    """
+    """Plays one arm every round, under the same budget contract."""
 
     def __init__(self, params: InstanceParams, arm: int):
         super().__init__(params)
@@ -297,18 +290,14 @@ class FixedArmPolicy(BudgetedPolicy):
         if self.terminated:
             raise ValueError("episode over")
         del rng
-        return self.arm, self._probs
+        return self.arm, list(self._probs)
 
-    def _learn(self, arm: int, probs: Sequence[float], reward: float, cost: float) -> None:
+    def _learn(self, arm: int, probs: Sequence[float], outcome: Outcome) -> None:
         pass
 
 
 class UniformPolicy(BudgetedPolicy):
-    """Samples arms uniformly at random; a no-learning control.
-
-    ``select`` returns the same probability list every round, not a copy:
-    callers must not mutate it.
-    """
+    """Samples arms uniformly at random; a no-learning control."""
 
     def __init__(self, params: InstanceParams):
         super().__init__(params)
@@ -317,7 +306,7 @@ class UniformPolicy(BudgetedPolicy):
     def select(self, rng: RngStream) -> tuple[int, list[float]]:
         if self.terminated:
             raise ValueError("episode over")
-        return rng.index(self._probs), self._probs
+        return rng.index(self._probs), list(self._probs)
 
-    def _learn(self, arm: int, probs: Sequence[float], reward: float, cost: float) -> None:
+    def _learn(self, arm: int, probs: Sequence[float], outcome: Outcome) -> None:
         pass

@@ -325,11 +325,11 @@ def test_c09_hidden_best_arm_construction():
     rng = RngStream(BASE_SEED, 2)
     n = 100_000
     draws = [spec.step(1, star, rng) for _ in range(n)]
-    mean = sum(reward for reward, _ in draws) / n
+    mean = sum(o.reward for o in draws) / n
     assert abs(mean - (0.5 + eps)) < 0.01
-    assert all(cost == 0.25 for _, cost in draws)
+    assert all(o.cost == 0.25 for o in draws)
     other = (star + 1) % 4
-    mean_other = sum(reward for reward, _ in (spec.step(1, other, rng) for _ in range(n))) / n
+    mean_other = sum(spec.step(1, other, rng).reward for _ in range(n)) / n
     assert abs(mean_other - 0.5) < 0.01
     _report(9, "hidden-best-arm construction", f"eps {eps:.3f}, empirical means within 0.01")
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bwklab.core import (
     ExactSum,
     InstanceParams,
+    Outcome,
     RngStream,
     RoundColumns,
     RoundRecord,
@@ -317,7 +318,7 @@ class TestRunTrace:
         (2, 0, (0.3, 0.6, 0.1), 0.0, 0.25, 1.25),
     )
     # ROWS as the records RunTrace.build takes.
-    ROUNDS = tuple(RoundRecord(t, a, p, (r, c), left) for t, a, p, r, c, left in ROWS)
+    ROUNDS = tuple(RoundRecord(t, a, p, Outcome(r, c), left) for t, a, p, r, c, left in ROWS)
 
     # ROWS as columns, the probability vectors stored flat.
     COLUMNS = {
@@ -334,7 +335,7 @@ class TestRunTrace:
         return {f: list(getattr(trace.columns, f)) for f in cls.COLUMNS}
 
     def test_rounds_are_rebuilt_equal(self):
-        aborted = (2, 1.0, 2.0)
+        aborted = (2, Outcome(1.0, 2.0))
         trace = RunTrace.build(2.0, self.ROUNDS, TerminationReason.BUDGET_EXHAUSTED, aborted)
         assert self.columns_of(trace) == self.COLUMNS
         assert trace.columns.width == 3
@@ -342,12 +343,12 @@ class TestRunTrace:
         assert len(empty.columns) == 0 and empty.columns.width == 0
 
     def test_unequal_probability_widths_rejected(self):
-        rounds = [self.ROUNDS[0], RoundRecord(2, 0, (1.0, 0.0), (0.0, 0.25), 1.25)]
+        rounds = [self.ROUNDS[0], RoundRecord(2, 0, (1.0, 0.0), Outcome(0.0, 0.25), 1.25)]
         with pytest.raises(ValueError, match="equal-length"):
             RunTrace.build(2.0, rounds, TerminationReason.BUDGET_EXHAUSTED)
 
     def test_pickle_round_trip(self):
-        aborted = (2, 1.0, 2.0)
+        aborted = (2, Outcome(1.0, 2.0))
         trace = RunTrace(2.0, self.appended(self.ROWS), TerminationReason.BUDGET_EXHAUSTED, aborted)
         back = pickle.loads(pickle.dumps(trace))
         assert back == trace

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bwklab.core import InstanceParams, RngStream
+from bwklab.core import InstanceParams, Outcome, RngStream
 from bwklab.environments import (
     AdversarialMatrixSpec,
     PointMass,
@@ -90,8 +90,8 @@ class TestStochasticSpec:
         spec = make_stochastic([(PointMass(0.5), PointMass(1.0))], cost_min=1.0)
         rng = RngStream(0)
         for _ in range(5):
-            reward, cost = spec.step(1, 0, rng)
-            assert (reward, cost) == (0.5, 1.0)
+            out = spec.step(1, 0, rng)
+            assert (out.reward, out.cost) == (0.5, 1.0)
 
     def test_bernoulli_law_of_large_numbers(self):
         spec = make_stochastic(
@@ -99,7 +99,7 @@ class TestStochasticSpec:
         )
         rng = RngStream(2024)
         n = 100_000
-        mean = sum(reward for reward, _ in (spec.step(1, 0, rng) for _ in range(n))) / n
+        mean = sum(spec.step(1, 0, rng).reward for _ in range(n)) / n
         assert abs(mean - 0.7) < 0.01
 
     def test_deterministic_replay(self):
@@ -130,8 +130,8 @@ class TestAdversarialSpec:
     def test_lookup(self):
         spec = self.make()
         assert spec.step(3, 1) == spec.step(3, 1)
-        reward, cost = spec.step(3, 1)
-        assert (reward, cost) == (0.4, 0.5)
+        out = spec.step(3, 1)
+        assert (out.reward, out.cost) == (0.4, 0.5)
 
     def test_bounds_errors(self):
         spec = self.make()
@@ -141,7 +141,7 @@ class TestAdversarialSpec:
             spec.step(0, 0)
         with pytest.raises(ValueError, match="out of range"):
             spec.step(1, 3)
-        # a memoryview index wraps a negative value, so only the checks refuse one
+        # numpy indexing wraps a negative index, so only the checks refuse one
         with pytest.raises(ValueError, match="out of range"):
             spec.step(1, -1)
         with pytest.raises(ValueError, match="out of range"):
@@ -196,7 +196,7 @@ class TestAdversarialSpec:
 
 
 class TestStepContract:
-    """step returns a plain (reward, cost) tuple of two floats."""
+    """step returns an Outcome of two Python floats."""
 
     @staticmethod
     def environment_docs(tmp_path):
@@ -229,17 +229,17 @@ class TestStepContract:
             for t in range(1, 17):  # every kind's horizon covers B / c_min >= 16 rounds
                 for arm in range(spec.params.n_arms):
                     out = spec.step(t, arm, rng)
-                    assert type(out) is tuple and len(out) == 2, kind
-                    assert [type(v) for v in out] == [float, float], kind
+                    assert type(out) is Outcome, kind
+                    assert [type(out.reward), type(out.cost)] == [float, float], kind
 
     def test_matrix_step_reads_every_cell_bit_for_bit(self):
         params = InstanceParams(n_arms=4, budget=40.0, cost_min=0.25)
         spec = random_matrix_spec(params, RngStream(11), reward_noise=0.6)
         for t in range(1, spec.t_max + 1):
             for arm in range(4):
-                reward, cost = spec.step(t, arm)
-                assert reward.hex() == float(spec.rewards[t - 1, arm]).hex()
-                assert cost.hex() == float(spec.costs[t - 1, arm]).hex()
+                out = spec.step(t, arm)
+                assert out.reward.hex() == float(spec.rewards[t - 1, arm]).hex()
+                assert out.cost.hex() == float(spec.costs[t - 1, arm]).hex()
 
 
 class TestTrueEfficiency:
@@ -304,7 +304,7 @@ class TestHiddenBestArm:
         rng = RngStream(9)
         n = 20_000
         for arm in range(3):
-            mean = sum(reward for reward, _ in (spec.step(1, arm, rng) for _ in range(n))) / n
+            mean = sum(spec.step(1, arm, rng).reward for _ in range(n)) / n
             target = 0.5 + eps if arm == spec.optimal_arm else 0.5
             assert abs(mean - target) < 0.015
 

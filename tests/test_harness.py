@@ -12,6 +12,7 @@ import pytest
 import bwklab
 from bwklab.core import (
     InstanceParams,
+    Outcome,
     RngStream,
     RoundColumns,
     RunTrace,
@@ -104,7 +105,9 @@ class TestRunEpisode:
                 self.params = params
 
             def step(self, t, arm, rng):
-                return 0.0, 0.0
+                from bwklab.core import Outcome
+
+                return Outcome(reward=0.0, cost=0.0)
 
         params = InstanceParams(n_arms=2, budget=3.0, cost_min=0.5)
         with pytest.raises(RuntimeError, match="horizon cap of 7 rounds"):
@@ -126,8 +129,7 @@ def reference_episode(policy_config, env_spec, budget, seed, stream_id):
         arm, probs = policy.select(rng)
         outcome = env_spec.step(t, arm, rng)
         if policy.update(arm, probs, outcome):
-            reward, cost = outcome
-            columns.append(t, arm, probs, reward, cost, policy.remaining_budget)
+            columns.append(t, arm, probs, outcome.reward, outcome.cost, policy.remaining_budget)
     return RunTrace(budget, columns, TerminationReason.BUDGET_EXHAUSTED, policy.aborted_pull)
 
 
@@ -174,7 +176,7 @@ class TestRunEpisodeMatchesReference:
             params = InstanceParams(n_arms=2, budget=3.0, cost_min=0.5)
 
             def step(self, t, arm, rng):
-                return 0.0, 0.0
+                return Outcome(reward=0.0, cost=0.0)
 
         errors = []
         for run in (run_episode, reference_episode):
@@ -238,8 +240,7 @@ class TestRunExperiment:
         # every cost is at least cost_min > 0, so a run to the cap is a bug
         class ZeroCostSpec(StochasticEnvSpec):
             def step(self, t, arm, rng):
-                reward, _ = super().step(t, arm, rng)
-                return reward, 0.0
+                return Outcome(super().step(t, arm, rng).reward, 0.0)
 
         build = EnvironmentConfig.build
         monkeypatch.setattr(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bwklab.core import InstanceParams, RngStream
+from bwklab.core import InstanceParams, Outcome, RngStream
 from bwklab.policies import (
     Exp3Bwk,
     Exp3PPBwk,
@@ -74,7 +74,7 @@ class TestExp3BwkSelect:
 
     def test_terminated_select_is_error(self):
         pol = Exp3Bwk(params(budget=1.0))
-        pol.update(0, [0.5, 0.5], (1.0, 2.0))
+        pol.update(0, [0.5, 0.5], Outcome(reward=1.0, cost=2.0))
         assert pol.terminated
         with pytest.raises(ValueError, match="episode over"):
             pol.select(RngStream(0))
@@ -83,7 +83,7 @@ class TestExp3BwkSelect:
 class TestExp3BwkUpdate:
     def test_estimate_and_weight_increment(self):
         pol = Exp3Bwk(params(n_arms=2, cost_min=0.5), gamma_override=0.1)
-        paid = pol.update(0, [0.5, 0.5], (0.8, 0.4))
+        paid = pol.update(0, [0.5, 0.5], Outcome(reward=0.8, cost=0.4))
         assert paid
         # e_hat = 0.8 / (0.5 * 0.4) = 4.0, increment = 0.1 * 0.5 * 4 / 2
         assert pol.log_weights[0] == pytest.approx(0.1 * 0.5 * 4.0 / 2.0)
@@ -94,21 +94,21 @@ class TestExp3BwkUpdate:
     def test_unplayed_arms_unchanged(self):
         pol = Exp3Bwk(params(n_arms=3))
         _, probs = pol.select(RngStream(0))
-        pol.update(1, probs, (0.5, 0.9))
+        pol.update(1, probs, Outcome(reward=0.5, cost=0.9))
         assert pol.log_weights[0] == 0.0
         assert pol.log_weights[2] == 0.0
 
     def test_impossible_selection_rejected(self):
         pol = Exp3Bwk(params(n_arms=2))
         with pytest.raises(ValueError, match="impossible selection"):
-            pol.update(0, [0.0, 1.0], (0.5, 0.5))
+            pol.update(0, [0.0, 1.0], Outcome(reward=0.5, cost=0.5))
 
     def test_abort_pays_nothing(self):
         pol = Exp3Bwk(params(budget=1.0))
-        paid = pol.update(0, [0.5, 0.5], (1.0, 1.5))
+        paid = pol.update(0, [0.5, 0.5], Outcome(reward=1.0, cost=1.5))
         assert not paid
         assert pol.terminated
-        assert pol.aborted_pull == (0, 1.0, 1.5)
+        assert pol.aborted_pull == (0, Outcome(reward=1.0, cost=1.5))
         assert pol.remaining_budget == 1.0
         assert pol.log_weights == [0.0, 0.0]
         assert pol.t == 1
@@ -125,9 +125,9 @@ class TestExp3BwkUpdate:
             stream = RngStream(int(rng.integers(1 << 30)))
             for _ in range(50):
                 arm, probs = pol.select(stream)
-                out = (
-                    float(rng.uniform(0, 1)),
-                    float(rng.uniform(c_min, 1.0)),
+                out = Outcome(
+                    reward=float(rng.uniform(0, 1)),
+                    cost=float(rng.uniform(c_min, 1.0)),
                 )
                 before = pol.log_weights[arm]
                 pol.update(arm, probs, out)
@@ -160,7 +160,7 @@ class TestExp3PPSweep:
     def test_sweep_order_and_stats(self):
         pol = Exp3PPBwk(params(n_arms=3, budget=30.0, cost_min=0.5))
         rng = RngStream(0)
-        outs = [(0.9, 0.5), (0.1, 1.0), (0.4, 0.8)]
+        outs = [Outcome(0.9, 0.5), Outcome(0.1, 1.0), Outcome(0.4, 0.8)]
         for i in range(3):
             arm, probs = pol.select(rng)
             assert arm == i
@@ -182,7 +182,7 @@ def swept_policy(k=2, budget=5200.0, cost_min=0.5, outs=None, **kwargs):
     rng = RngStream(0)
     for i in range(k):
         arm, probs = pol.select(rng)
-        pol.update(arm, probs, outs[i] if outs else (0.5, cost_min))
+        pol.update(arm, probs, outs[i] if outs else Outcome(0.5, cost_min))
     return pol
 
 
@@ -222,7 +222,7 @@ class TestExp3PPConfidenceBounds:
         stream = RngStream(5)
         for _ in range(300):
             arm, probs = pol.select(stream)
-            out = (float(rng.uniform(0, 1)), float(rng.uniform(0.25, 1.0)))
+            out = Outcome(float(rng.uniform(0, 1)), float(rng.uniform(0.25, 1.0)))
             pol.update(arm, probs, out)
             ucb, lcb = pol.confidence_bounds()
             for u, l in zip(ucb, lcb):
@@ -275,7 +275,7 @@ class TestExp3PPSelect:
             arm, probs = pol.select(stream)
             assert abs(math.fsum(probs) - 1.0) <= 1e-9
             assert all(p >= 0.0 for p in probs)
-            out = (float(rng.uniform(0, 1)), float(rng.uniform(0.25, 1)))
+            out = Outcome(float(rng.uniform(0, 1)), float(rng.uniform(0.25, 1)))
             pol.update(arm, probs, out)
 
     def test_exploration_capped(self):
@@ -286,7 +286,7 @@ class TestExp3PPSelect:
             eps = pol.exploration_masses()
             assert all(e <= 1.0 / (2 * 4) + 1e-15 for e in eps)
             arm, probs = pol.select(stream)
-            out = (float(rng.uniform(0, 1)), float(rng.uniform(0.25, 1)))
+            out = Outcome(float(rng.uniform(0, 1)), float(rng.uniform(0.25, 1)))
             pol.update(arm, probs, out)
 
 
@@ -314,10 +314,10 @@ def policy_at(k, cost_min, beta, outs, scale, t):
     pol = Exp3PPBwk(params(n_arms=k, budget=1e12, cost_min=cost_min), beta=beta)
     uniform = [1.0 / k] * k
     for arm in range(k):
-        assert pol.update(arm, uniform, tuple(outs[arm][0]))
+        assert pol.update(arm, uniform, Outcome(*outs[arm][0]))
     for arm in range(k):
         for out in outs[arm][1:]:
-            assert pol.update(arm, uniform, tuple(out))
+            assert pol.update(arm, uniform, Outcome(*out))
     pol.pull_count = [n * scale for n in pol.pull_count]
     pol.reward_sum = [r * scale for r in pol.reward_sum]
     pol.cost_sum = [c * scale for c in pol.cost_sum]
@@ -377,7 +377,7 @@ class TestExp3PPCapShortcut:
 class TestExp3PPUpdate:
     def test_zero_loss_on_max_efficiency_pull(self):
         pol = swept_policy(k=2, budget=100.0, cost_min=1.0)
-        pol.update(0, [0.5, 0.5], (1.0, 1.0))
+        pol.update(0, [0.5, 0.5], Outcome(reward=1.0, cost=1.0))
         # e_hat = 1/(0.5*1) = 2, loss = 1/(1*0.5) - 2 = 0
         assert pol.cum_loss[0] == 0.0
         assert pol.cum_loss[1] == 0.0
@@ -385,14 +385,14 @@ class TestExp3PPUpdate:
     def test_unplayed_arm_untouched(self):
         pol = swept_policy(k=3, budget=100.0, cost_min=0.5)
         before = list(pol.cum_loss)
-        pol.update(1, [0.2, 0.6, 0.2], (0.0, 0.5))
+        pol.update(1, [0.2, 0.6, 0.2], Outcome(reward=0.0, cost=0.5))
         assert pol.cum_loss[0] == before[0]
         assert pol.cum_loss[2] == before[2]
         assert pol.cum_loss[1] > before[1]
 
     def test_running_means(self):
-        pol = swept_policy(k=2, budget=100.0, cost_min=0.5, outs=[(0.4, 0.5), (0.2, 1.0)])
-        pol.update(0, [0.5, 0.5], (1.0, 0.7))
+        pol = swept_policy(k=2, budget=100.0, cost_min=0.5, outs=[Outcome(0.4, 0.5), Outcome(0.2, 1.0)])
+        pol.update(0, [0.5, 0.5], Outcome(reward=1.0, cost=0.7))
         assert pol.pull_count == [2, 1]
         assert pol.reward_sum[0] == pytest.approx(1.4)
         assert pol.cost_sum[0] == pytest.approx(1.2)
@@ -405,25 +405,25 @@ class TestExp3PPUpdate:
         for _ in range(500):
             arm, probs = pol.select(stream)
             before = pol.cum_loss[arm]
-            out = (float(rng.uniform(0, 1)), float(rng.uniform(0.3, 1.0)))
+            out = Outcome(float(rng.uniform(0, 1)), float(rng.uniform(0.3, 1.0)))
             pol.update(arm, probs, out)
             assert pol.cum_loss[arm] - before >= -1e-12
 
     def test_terminates_on_unaffordable_cost(self):
         pol = swept_policy(
-            k=2, budget=2.6, cost_min=0.5, outs=[(0.5, 1.0), (0.5, 1.0)]
+            k=2, budget=2.6, cost_min=0.5, outs=[Outcome(0.5, 1.0), Outcome(0.5, 1.0)]
         )
         assert pol.remaining_budget == pytest.approx(0.6)
-        paid = pol.update(0, [0.5, 0.5], (1.0, 0.7))
+        paid = pol.update(0, [0.5, 0.5], Outcome(reward=1.0, cost=0.7))
         assert not paid and pol.terminated
         assert pol.remaining_budget == pytest.approx(0.6)
         with pytest.raises(ValueError, match="episode over"):
-            pol.update(0, [0.5, 0.5], (0.0, 0.5))
+            pol.update(0, [0.5, 0.5], Outcome(reward=0.0, cost=0.5))
 
     @pytest.mark.parametrize(
         "outcome",
-        [(-0.1, 0.5), (1.5, 0.5), (math.nan, 0.5),
-         (0.5, 0.49), (0.5, math.nan)],
+        [Outcome(-0.1, 0.5), Outcome(1.5, 0.5), Outcome(math.nan, 0.5),
+         Outcome(0.5, 0.49), Outcome(0.5, math.nan)],
         ids=["negative_reward", "reward_above_one", "nan_reward", "cost_below_min", "nan_cost"],
     )
     def test_refuses_outcome_outside_contract(self, outcome):
@@ -454,7 +454,7 @@ class TestBaselines:
             total = 0.0
             while not pol.terminated:
                 arm, probs = pol.select(stream)
-                if pol.update(arm, probs, (0.3, 0.9)):
+                if pol.update(arm, probs, Outcome(reward=0.3, cost=0.9)):
                     total += 0.9
             assert total <= 2.0
             assert pol.aborted_pull is not None
@@ -474,8 +474,7 @@ class TestBaselines:
             arm, probs = pol.select(stream)
             out = spec.step(1, arm, stream)
             if pol.update(arm, probs, out):
-                reward, _ = out
-                total += reward
+                total += out.reward
                 n += 1
         assert n == 8000  # every pull costs exactly 0.25
         assert total / n == pytest.approx(0.5 + eps / 4, abs=0.02)
