@@ -188,6 +188,7 @@ class AdversarialMatrixSpec:
             raise ValueError(f"round {t} out of range [1, {self.t_max}]")
         if not 0 <= arm < self.params.n_arms:
             raise ValueError(f"arm {arm} out of range")
+        # Positional: a keyword call to the frozen dataclass costs ~200 ns more.
         return Outcome(self.rewards.item(t - 1, arm), self.costs.item(t - 1, arm))
 
 
